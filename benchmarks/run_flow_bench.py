@@ -1,10 +1,11 @@
-"""Cross-backend parity + performance harness for the flow solvers.
+"""Cross-engine parity + performance harness for the flow solvers.
 
 Builds one real D-phase LP per benchmark circuit (TILOS seed, delay
 balancing, sensitivity weights — the exact instance the sizing loop
-solves every outer iteration), times every registered flow backend on
-it, checks that all backends agree on the objective, and emits a
-machine-readable ``BENCH_flow.json``.
+solves every outer iteration), times every LP engine on it — the
+array SSP engine (``ssp``), HiGHS (``scipy``) and the heapq reference
+solver (``ssp-legacy``, the oracle) — checks that all of them agree on
+the objective, and emits a machine-readable ``BENCH_flow.json``.
 
 The JSON is the seed point of the perf trajectory: CI re-runs this
 script on the smoke tier and ``check_regression.py`` compares the
@@ -39,9 +40,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.balancing import balance  # noqa: E402
 from repro.dag import build_sizing_dag  # noqa: E402
+from repro.flow.arrayssp import solve_lp_ssp  # noqa: E402
 from repro.flow.duality import DifferenceConstraintLP  # noqa: E402
-from repro.flow.duality import solve_difference_lp  # noqa: E402
-from repro.flow.registry import registered_backends  # noqa: E402
+from repro.flow.registry import timed_solve  # noqa: E402
+from repro.flow.scipy_backend import solve_lp_scipy  # noqa: E402
+from repro.flow.ssp import solve_lp_ssp_reference  # noqa: E402
 from repro.generators.iscas import build_circuit  # noqa: E402
 from repro.sizing import tilos_size  # noqa: E402
 from repro.sizing.dphase import (  # noqa: E402
@@ -53,6 +56,13 @@ from repro.timing import GraphTimer  # noqa: E402
 
 SCHEMA = "repro-bench-flow/1"
 TARGET_SPEEDUP = 3.0
+
+#: Every difference-LP engine, timed on the same instance.
+ENGINES = {
+    "ssp": solve_lp_ssp,
+    "ssp-legacy": solve_lp_ssp_reference,
+    "scipy": solve_lp_scipy,
+}
 
 
 def tier_circuits(tier: str) -> list[tuple[str, float]]:
@@ -99,25 +109,24 @@ def bench_circuit(name: str, spec: float, repeats: int) -> dict:
         "backends": {},
     }
     objectives: dict[str, float] = {}
-    for backend in registered_backends():
-        if not backend.available():
-            continue
+    for name, engine in ENGINES.items():
         best = float("inf")
         solution = None
         for _ in range(repeats):
             start = time.perf_counter()
-            solution = solve_difference_lp(lp, backend=backend.name)
+            solution = timed_solve(name, engine, lp)
+            lp.check_feasible(solution.r)
             best = min(best, time.perf_counter() - start)
         assert solution is not None
         stats = solution.stats
-        entry["backends"][backend.name] = {
+        entry["backends"][name] = {
             "wall_s": round(best, 6),
             "objective": solution.objective,
             "augmentations": stats.augmentations,
             "sp_rounds": stats.sp_rounds,
             "dijkstra_pops": stats.dijkstra_pops,
         }
-        objectives[backend.name] = solution.objective
+        objectives[name] = solution.objective
 
     scale = 1.0 + max(abs(v) for v in objectives.values())
     spread = max(objectives.values()) - min(objectives.values())
@@ -192,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
           f"parity={summary['parity_ok']}")
     if args.check:
         if not summary["parity_ok"]:
-            print("[bench] FAIL: backends disagree on objective",
+            print("[bench] FAIL: engines disagree on objective",
                   file=sys.stderr)
             return 1
         if not summary["meets_target"]:

@@ -42,8 +42,7 @@ def main() -> None:
         print(f"health: {client.healthz()['status']} "
               f"(mode {client.healthz()['mode']})")
         suite = client.circuits()["circuits"]
-        backends = [b["name"] for b in client.backends()["backends"]]
-        print(f"discovery: {len(suite)} suite circuits, backends {backends}")
+        print(f"discovery: {len(suite)} suite circuits")
 
         reply = client.size(circuit="c17", delay_spec=0.6)
         result = reply["payload"]["result"]

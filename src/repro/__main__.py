@@ -107,7 +107,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
         result = minflotransit(
             dag,
             target,
-            MinfloOptions(flow_backend=args.backend, kernel=args.kernel),
+            MinfloOptions(kernel=args.kernel),
             x0=seed.x,
         )
     print(result.summary())
@@ -129,7 +129,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
 
 def _print_flow_stats(totals: dict) -> None:
-    """Per-backend flow-solver totals of one run (a stats_scope dict)."""
+    """Per-engine flow-solver totals of one run (a stats_scope dict)."""
     if not totals:
         print("no flow solves recorded")
         return
@@ -336,11 +336,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             name=args.name or "campaign",
             circuits=tuple(args.circuits.split(",")),
             delay_specs=delay_specs,
-            flow_backends=(args.backend,),
             kind=args.kind,
         )
     else:
-        spec = tier_preset(args.tier, flow_backend=args.backend)
+        spec = tier_preset(args.tier)
         if args.kind != spec.kind:
             spec = dataclasses.replace(spec, kind=args.kind)
     run_dir = Path(args.run_dir or Path("runs") / spec.name)
@@ -478,7 +477,7 @@ def _add_serve_parser(sub) -> None:
         help="run the sizing service (JSON over HTTP)",
         description="Long-lived sizing service: POST /v1/size against a "
                     "bounded worker pool with the campaign result cache; "
-                    "GET /v1/jobs/<id>, /v1/circuits, /v1/backends, "
+                    "GET /v1/jobs/<id>, /v1/circuits, "
                     "/v1/healthz, /v1/stats.",
     )
     p_serve.add_argument("--host", default="127.0.0.1",
@@ -608,8 +607,6 @@ def _add_campaign_parser(sub) -> None:
                                 "wphase (one W-phase SMP instance, the "
                                 "batchable kernel workload), or phases "
                                 "(timing study)")
-            p.add_argument("--flow-backend", "--backend", dest="backend",
-                           default="auto")
             p.add_argument("--name", default=None,
                            help="campaign name (run-dir default stem)")
             p.add_argument("--run-dir", default=None,
@@ -760,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="gate")
     p_size.add_argument("--wires", action="store_true",
                         help="size wires simultaneously (section 2.1)")
-    p_size.add_argument("--flow-backend", "--backend", dest="backend",
-                        default="auto",
-                        help="D-phase flow solver: 'auto' (registry "
-                             "picks per instance) or a registered name "
-                             "(ssp/ssp-legacy/networkx/scipy)")
     p_size.add_argument("--kernel", choices=["vectorized", "scalar"],
                         default="vectorized",
                         help="sizing kernels for TILOS sensitivities and "
@@ -773,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "'scalar' (reference loops; identical "
                              "results)")
     p_size.add_argument("--flow-stats", action="store_true",
-                        help="print per-backend solver statistics")
+                        help="print per-engine flow-solver statistics")
     p_size.add_argument("--phase-stats", action="store_true",
                         help="print a per-phase wall-time breakdown "
                              "(TILOS, timing, balancing, D-phase flow, "
@@ -799,8 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t1 = sub.add_parser("table1", help="regenerate Table 1")
     p_t1.add_argument("--tier", default=None, choices=["smoke", "paper"])
-    p_t1.add_argument("--flow-backend", "--backend", dest="backend",
-                      default="auto")
     p_t1.add_argument("--jobs", type=int, default=1)
     p_t1.add_argument("--cache-dir", default=None,
                       help="replay/store rows in a campaign result cache")
@@ -822,8 +812,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.experiments.table1 import format_table1, run_table1
 
             print(format_table1(run_table1(
-                args.tier, args.backend, jobs=args.jobs,
-                cache=args.cache_dir,
+                args.tier, jobs=args.jobs, cache=args.cache_dir,
             )))
             return 0
         if args.command == "figure7":
@@ -850,8 +839,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return args.func(args)
     except ReproError as exc:
-        # Library-level misuse (unknown circuit token, bad backend name,
-        # malformed run dir, ...): a clean diagnostic, not a traceback.
+        # Library-level misuse (unknown circuit token, malformed run
+        # dir, ...): a clean diagnostic, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

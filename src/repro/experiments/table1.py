@@ -12,8 +12,7 @@ against a warm cache is free.
 
 Run as a module::
 
-    python -m repro.experiments.table1 [--tier smoke|paper]
-                                       [--backend auto] [--jobs N]
+    python -m repro.experiments.table1 [--tier smoke|paper] [--jobs N]
                                        [--cache-dir DIR]
 
 or through the pytest-benchmark wrapper in ``benchmarks/``, or as
@@ -74,11 +73,9 @@ def select_specs(tier: str | None = None) -> list[BenchmarkSpec]:
     raise ValueError(f"unknown tier {tier!r} (use 'smoke' or 'paper')")
 
 
-def campaign_spec(
-    tier: str | None = None, flow_backend: str = "auto"
-) -> CampaignSpec:
+def campaign_spec(tier: str | None = None) -> CampaignSpec:
     """The Table 1 sweep as a runner campaign (one job per row)."""
-    return tier_preset(tier, flow_backend=flow_backend)
+    return tier_preset(tier)
 
 
 def row_from_outcome(outcome: JobOutcome) -> Table1Row:
@@ -124,16 +121,9 @@ def row_from_outcome(outcome: JobOutcome) -> Table1Row:
     )
 
 
-def run_row(
-    spec: BenchmarkSpec,
-    flow_backend: str = "auto",
-) -> Table1Row:
+def run_row(spec: BenchmarkSpec) -> Table1Row:
     """Build, seed with TILOS and refine with MINFLOTRANSIT (one row)."""
-    job = Job(
-        circuit=spec.name,
-        delay_spec=spec.delay_spec,
-        flow_backend=flow_backend,
-    )
+    job = Job(circuit=spec.name, delay_spec=spec.delay_spec)
     status, payload = execute_job(job)
     return row_from_outcome(JobOutcome(
         index=0,
@@ -148,14 +138,11 @@ def run_row(
 
 def run_table1(
     tier: str | None = None,
-    flow_backend: str = "auto",
     jobs: int = 1,
     cache=None,
 ) -> list[Table1Row]:
     """All rows of a tier, as one (cacheable, parallelizable) campaign."""
-    result = run(
-        campaign_spec(tier, flow_backend), jobs=jobs, cache=cache
-    )
+    result = run(campaign_spec(tier), jobs=jobs, cache=cache)
     return [row_from_outcome(outcome) for outcome in result.outcomes]
 
 
@@ -198,15 +185,12 @@ def format_table1(rows: list[Table1Row]) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tier", default=None, choices=["smoke", "paper"])
-    parser.add_argument("--flow-backend", "--backend", dest="backend",
-                        default="auto")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (1 = run in-process)")
     parser.add_argument("--cache-dir", default=None,
                         help="replay/store rows in a campaign result cache")
     args = parser.parse_args()
-    rows = run_table1(tier=args.tier, flow_backend=args.backend,
-                      jobs=args.jobs, cache=args.cache_dir)
+    rows = run_table1(tier=args.tier, jobs=args.jobs, cache=args.cache_dir)
     print(format_table1(rows))
 
 

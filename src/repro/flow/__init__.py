@@ -6,60 +6,43 @@ from repro.flow.arrayssp import (
     basis_from_solution,
     solve_ssp_array,
 )
+from repro.flow.arrayssp import solve_ssp_array as solve_ssp
 from repro.flow.duality import (
-    BACKENDS,
+    SSP_MAX_CONSTRAINTS,
     DifferenceConstraintLP,
     GroundedFlow,
     LpSolution,
     ground_flow,
-    integerize_supplies,
     integerize_values,
     solve_difference_lp,
 )
 from repro.flow.network import Arc, FlowProblem, FlowSolution
 from repro.flow.registry import (
-    BACKEND_NAMES,
-    BackendCapabilities,
-    FlowBackend,
     SolveStats,
-    get_backend,
-    register_backend,
-    registered_backends,
     reset_solver_statistics,
-    select_backend,
     solver_statistics,
 )
-from repro.flow.ssp import solve_ssp, solve_ssp_reference
 from repro.flow.verify import check_flow_feasible, check_flow_optimal
 
 __all__ = [
     "Arc",
     "ArraySspEngine",
-    "BACKENDS",
-    "BACKEND_NAMES",
-    "BackendCapabilities",
     "DifferenceConstraintLP",
-    "FlowBackend",
     "FlowProblem",
     "FlowSolution",
     "GroundedFlow",
     "LpSolution",
+    "SSP_MAX_CONSTRAINTS",
     "SolveStats",
     "WarmStartBasis",
     "basis_from_solution",
     "check_flow_feasible",
     "check_flow_optimal",
-    "get_backend",
     "ground_flow",
-    "integerize_supplies",
     "integerize_values",
-    "register_backend",
-    "registered_backends",
     "reset_solver_statistics",
-    "select_backend",
     "solve_difference_lp",
     "solve_ssp",
     "solve_ssp_array",
-    "solve_ssp_reference",
     "solver_statistics",
 ]

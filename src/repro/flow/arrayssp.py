@@ -682,7 +682,7 @@ def solve_ssp_array(
 
 
 def solve_lp_ssp(lp, warm_start: WarmStartBasis | None = None) -> "object":
-    """LP entry point for the ``ssp`` registry backend.
+    """Solve a difference LP with the array engine (the ``ssp`` path).
 
     The returned solution carries a :class:`WarmStartBasis` in
     ``warm_basis``; feeding it into the next ``solve_lp_ssp`` call on a

@@ -14,23 +14,24 @@ Pinned nodes have no conservation constraint — they merge into one
 potentials of the flow are (up to sign and the ground offset) an
 optimal primal ``r``:  ``r(v) = π(ground) - π(v)``.
 
-:func:`solve_difference_lp` dispatches through the backend registry
-(:mod:`repro.flow.registry`); the registered backends are cross-checked
-in the test suite:
+:func:`solve_difference_lp` solves every D-phase LP with one of two
+engines, picked by a fixed size rule:
 
-* ``"ssp"``        — the array-based primal-dual engine
-  (:mod:`repro.flow.arrayssp`), the native default,
-* ``"ssp-legacy"`` — the original heapq successive-shortest-path
-  solver, kept as a parity oracle and benchmark baseline,
-* ``"networkx"``   — ``networkx.network_simplex`` (closest in spirit to
-  the paper's network simplex reference [9]),
-* ``"scipy"``      — HiGHS on the primal LP.
+* LPs with at most :data:`SSP_MAX_CONSTRAINTS` constraints go to the
+  array-based primal-dual engine (:mod:`repro.flow.arrayssp`,
+  ``"ssp"``), which is exact on the integerized data and reuses the
+  previous iteration's warm basis;
+* larger LPs go to HiGHS on the primal LP
+  (:mod:`repro.flow.scipy_backend`, ``"scipy"``).
+
+The heapq successive-shortest-path solver in :mod:`repro.flow.ssp`
+never runs here: it is the exact-integer oracle the test suite and
+the flow benchmark compare both engines against.
 
 This module is also the single home of the **integerization policy**:
-:func:`integerize_values` (nearest / conservative-floor rounding) and
-:func:`integerize_supplies` (balance-preserving supply rounding) are
-used both by the D-phase scaling step and by backends that need exact
-integer data, so the rounding rules cannot drift apart.
+every rounding decision of the D-phase scaling step goes through
+:func:`integerize_values` (nearest / conservative-floor rounding), so
+the rounding rules cannot drift apart.
 """
 
 from __future__ import annotations
@@ -40,23 +41,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FlowError, InfeasibleFlowError
+from repro.flow.arrayssp import solve_lp_ssp
 from repro.flow.network import FlowProblem
-from repro.flow.registry import BACKEND_NAMES, get_backend, select_backend
-from repro.flow.registry import timed_solve as _timed_solve
+from repro.flow.registry import timed_solve
 
 __all__ = [
-    "BACKENDS",
+    "SSP_MAX_CONSTRAINTS",
     "DifferenceConstraintLP",
     "GroundedFlow",
     "LpSolution",
     "ground_flow",
-    "integerize_supplies",
     "integerize_values",
     "solve_difference_lp",
 ]
 
-#: Backward-compatible alias of :data:`repro.flow.registry.BACKEND_NAMES`.
-BACKENDS = BACKEND_NAMES
+#: Largest LP (in constraints) solved by the native array SSP engine;
+#: anything bigger goes to HiGHS.  Measured on randomized difference
+#: LPs and smoke-tier D-phase instances (``benchmarks/run_flow_bench.py``):
+#: the array engine wins below ~100 constraints (no LP setup overhead,
+#: exact integer arithmetic, warm starts), HiGHS above.
+SSP_MAX_CONSTRAINTS = 128
 
 
 def integerize_values(
@@ -77,20 +81,6 @@ def integerize_values(
     if mode == "floor":
         return np.floor(array)
     raise FlowError(f"unknown rounding mode {mode!r}")
-
-
-def integerize_supplies(
-    supplies: np.ndarray, ground: int
-) -> np.ndarray:
-    """Round supplies to int64 and dump the drift on the ground node.
-
-    Backends that require exactly balanced integer supplies (network
-    simplex) call this; the repair keeps ``sum(supply) == 0`` without
-    touching any non-ground node by more than the rounding itself.
-    """
-    rounded = integerize_values(supplies, mode="nearest").astype(np.int64)
-    rounded[ground] -= rounded.sum()
-    return rounded
 
 
 @dataclass
@@ -154,11 +144,11 @@ class LpSolution:
     objective: float
     backend: str
     #: Solver counters (see :class:`repro.flow.registry.SolveStats`);
-    #: filled in by the registry on every dispatched solve.
+    #: filled in on every :func:`solve_difference_lp` call.
     stats: object | None = None
     #: Starting basis for the next solve of a structurally identical
     #: LP (see :class:`repro.flow.arrayssp.WarmStartBasis`); populated
-    #: by backends that advertise ``supports_warm_start``, else None.
+    #: by the ``ssp`` engine, None from HiGHS.
     warm_basis: object | None = None
 
 
@@ -209,27 +199,26 @@ def recover_r(
 
 
 def solve_difference_lp(
-    lp: DifferenceConstraintLP,
-    backend: str = "auto",
-    warm_start: object | None = None,
+    lp: DifferenceConstraintLP, warm_start: object | None = None
 ) -> LpSolution:
-    """Solve the LP via the backend registry; verifies feasibility.
+    """Solve the LP with the engine its size selects; verifies feasibility.
 
-    ``backend`` is a registered name or ``"auto"``, which lets
-    :func:`repro.flow.registry.select_backend` pick per instance from
-    capability metadata.  Wall time and solver counters are recorded on
-    the returned solution (``stats``) and in the registry's running
-    totals on every solve.
-
-    ``warm_start`` is the ``warm_basis`` of a previous solution of a
-    structurally identical LP; it reaches only backends that support
-    warm starts (currently the native ``ssp`` engine) and can never
-    change the optimum, only the work done to reach it.
+    At most :data:`SSP_MAX_CONSTRAINTS` constraints: the native ``ssp``
+    engine, seeded with ``warm_start`` (the ``warm_basis`` of a previous
+    solution of a structurally identical LP) when one is given.  Larger
+    LPs: HiGHS, always cold.  A warm start never changes the optimum,
+    only the work done to reach it.  Wall time and solver counters are
+    recorded on the returned solution (``stats``) and in the running
+    totals of :mod:`repro.flow.registry`.
     """
-    if backend == "auto":
-        chosen = select_backend(len(lp.constraints), hint="auto")
+    if len(lp.constraints) <= SSP_MAX_CONSTRAINTS:
+        solution = timed_solve("ssp", solve_lp_ssp, lp, warm_start=warm_start)
     else:
-        chosen = get_backend(backend)
-    solution = _timed_solve(chosen, lp, warm_start=warm_start)
+        # Imported on first use: it loads scipy.optimize, which a
+        # process that only sizes small circuits never needs (and it
+        # imports this module).
+        from repro.flow.scipy_backend import solve_lp_scipy
+
+        solution = timed_solve("scipy", solve_lp_scipy, lp)
     lp.check_feasible(solution.r)
     return solution

@@ -2,8 +2,8 @@
 
 The D-phase of MINFLOTRANSIT is the LP dual of a min-cost flow problem
 (paper section 2.3.1, step (5)); this module holds the flow instance
-itself, independent of the solver used (:mod:`repro.flow.ssp`,
-:mod:`repro.flow.networkx_backend` or the LP route in
+itself, independent of the solver used (:mod:`repro.flow.arrayssp`,
+the :mod:`repro.flow.ssp` oracle, or the LP route in
 :mod:`repro.flow.scipy_backend`).
 
 Conventions: arc costs may be any finite number, capacities default to

@@ -1,79 +1,37 @@
-"""Flow backend registry: discovery, capability metadata, auto-selection.
+"""Flow-solver statistics: per-solve counters and running totals.
 
-Every D-phase LP solver registers here by name with a capability record
-(:class:`BackendCapabilities`), replacing the ad-hoc if/elif dispatch
-that used to live in :func:`repro.flow.duality.solve_difference_lp`.
-The registry owns three responsibilities:
+Every solve routed through :func:`repro.flow.duality.solve_difference_lp`
+is timed by :func:`timed_solve`, which records a :class:`SolveStats`
+here.  :func:`solver_statistics` exposes the per-engine running totals
+(augmentations, relaxation work, wall time) that the CLI prints under
+``--flow-stats`` and the service exports as ``repro_flow_stat``;
+:func:`stats_scope` isolates the counters of one run.
 
-* **Lookup** — :func:`get_backend` resolves a user-facing name
-  (``--flow-backend``) to a solver, with a helpful error listing the
-  registered names.
-* **Auto-selection** — :func:`select_backend` picks a backend for a
-  concrete instance from capability metadata: availability of the
-  underlying dependency, a soft instance-size cap, and priority.
-* **Statistics** — every solve routed through
-  :func:`repro.flow.duality.solve_difference_lp` records a
-  :class:`SolveStats` here; :func:`solver_statistics` exposes the
-  per-backend running totals (augmentations, relaxation work, wall
-  time), which the CLI prints under ``--flow-stats``.
-
-The module deliberately imports nothing from the rest of the flow
-package at import time; backend modules are imported lazily on first
-lookup, so registering a backend can never create an import cycle.
+The module imports nothing from the rest of the flow package, so every
+engine module may import it without creating an import cycle.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.errors import FlowError
-
 __all__ = [
-    "BACKEND_NAMES",
-    "BackendCapabilities",
-    "FlowBackend",
     "SolveStats",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
     "reset_solver_statistics",
-    "select_backend",
     "solver_statistics",
     "stats_scope",
+    "timed_solve",
 ]
-
-#: Canonical backend names, in documentation order.  Kept static so
-#: importing it never forces the (heavier) backend modules to load.
-BACKEND_NAMES = ("ssp", "ssp-legacy", "networkx", "scipy")
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do, used by :func:`select_backend`."""
-
-    #: Exact on integer-valued costs/supplies (no LP tolerance noise).
-    exact_integer: bool
-    #: Returns optimal node potentials (duals) directly, without a
-    #: residual-graph recovery pass.
-    returns_duals: bool
-    #: Implemented in this library (numpy only, no optional dependency).
-    native: bool
-    #: Whether the auto-picker may choose this backend.
-    auto_eligible: bool = True
-    #: Soft cap on constraint count for auto-selection (None = no cap).
-    max_constraints: int | None = None
-    #: Accepts a ``warm_start`` basis from a previous solve of a
-    #: structurally identical instance (``solve(lp, warm_start=...)``).
-    supports_warm_start: bool = False
 
 
 @dataclass
 class SolveStats:
-    """Counters collected on every solve routed through the registry."""
+    """Counters collected on every timed D-phase LP solve."""
 
+    #: Engine that solved the LP: ``"ssp"`` or ``"scipy"``.
     backend: str
     n_nodes: int = 0
     n_arcs: int = 0
@@ -112,164 +70,11 @@ class SolveStats:
         self.n_arcs = max(self.n_arcs, other.n_arcs)
 
 
-@dataclass(frozen=True)
-class FlowBackend:
-    """A registered LP solver plus the metadata the picker needs."""
-
-    name: str
-    #: ``solve(lp: DifferenceConstraintLP) -> LpSolution``.
-    solve: Callable
-    capabilities: BackendCapabilities
-    #: Higher wins in auto-selection among eligible backends.
-    priority: int = 0
-    #: Probe for the underlying dependency (import check).
-    available: Callable[[], bool] = field(default=lambda: True)
-
-
-_REGISTRY: dict[str, FlowBackend] = {}
 _TOTALS: dict[str, SolveStats] = {}
 
 
-def register_backend(backend: FlowBackend) -> FlowBackend:
-    """Register (or replace) a backend under ``backend.name``."""
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def _ensure_default_backends() -> None:
-    """Lazily register the built-in backends on first lookup."""
-    if "ssp" in _REGISTRY:
-        return
-
-    def _solve_ssp(lp, warm_start=None):
-        from repro.flow.arrayssp import solve_lp_ssp
-
-        return solve_lp_ssp(lp, warm_start=warm_start)
-
-    def _solve_ssp_legacy(lp):
-        from repro.flow.ssp import solve_lp_ssp_reference
-
-        return solve_lp_ssp_reference(lp)
-
-    def _solve_networkx(lp):
-        from repro.flow.networkx_backend import solve_lp_networkx
-
-        return solve_lp_networkx(lp)
-
-    def _solve_scipy(lp):
-        from repro.flow.scipy_backend import solve_lp_scipy
-
-        return solve_lp_scipy(lp)
-
-    def _has_networkx() -> bool:
-        try:
-            import networkx  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def _has_scipy() -> bool:
-        try:
-            from scipy.optimize import linprog  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    # Auto policy, measured on randomized difference LPs and smoke-tier
-    # D-phase instances (see benchmarks/run_flow_bench.py): the native
-    # array engine wins below ~100 constraints (no LP setup overhead,
-    # exact integer arithmetic); above that HiGHS takes over; network
-    # simplex is the no-scipy fallback until its Python overhead blows
-    # up on big graphs.
-    register_backend(FlowBackend(
-        name="ssp",
-        solve=_solve_ssp,
-        capabilities=BackendCapabilities(
-            exact_integer=True, returns_duals=True, native=True,
-            max_constraints=128, supports_warm_start=True,
-        ),
-        priority=100,
-    ))
-    register_backend(FlowBackend(
-        name="ssp-legacy",
-        solve=_solve_ssp_legacy,
-        capabilities=BackendCapabilities(
-            exact_integer=True, returns_duals=True, native=True,
-            auto_eligible=False,
-        ),
-        priority=0,
-    ))
-    register_backend(FlowBackend(
-        name="networkx",
-        solve=_solve_networkx,
-        capabilities=BackendCapabilities(
-            exact_integer=True, returns_duals=False, native=False,
-            auto_eligible=True, max_constraints=20_000,
-        ),
-        priority=10,
-        available=_has_networkx,
-    ))
-    register_backend(FlowBackend(
-        name="scipy",
-        solve=_solve_scipy,
-        capabilities=BackendCapabilities(
-            exact_integer=False, returns_duals=True, native=False,
-        ),
-        priority=90,
-        available=_has_scipy,
-    ))
-
-
-def registered_backends() -> tuple[FlowBackend, ...]:
-    """All registered backends, highest auto-selection priority first."""
-    _ensure_default_backends()
-    return tuple(
-        sorted(_REGISTRY.values(), key=lambda b: -b.priority)
-    )
-
-
-def get_backend(name: str) -> FlowBackend:
-    """Look a backend up by exact name; FlowError lists known names."""
-    _ensure_default_backends()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise FlowError(
-            f"unknown flow backend {name!r}; registered: {known} (or 'auto')"
-        ) from None
-
-
-def select_backend(n_constraints: int, hint: str = "auto") -> FlowBackend:
-    """Resolve ``hint`` to a backend for an instance of the given size.
-
-    ``hint="auto"`` picks the highest-priority eligible backend whose
-    dependency imports and whose ``max_constraints`` cap (if any)
-    admits the instance; any other hint is an exact name lookup.
-    """
-    if hint != "auto":
-        return get_backend(hint)
-    candidates = [
-        backend for backend in registered_backends()
-        if backend.capabilities.auto_eligible and backend.available()
-    ]
-    for backend in candidates:
-        cap = backend.capabilities.max_constraints
-        if cap is not None and n_constraints > cap:
-            continue
-        return backend
-    # Size caps are soft preferences: when every in-cap backend is
-    # unavailable (e.g. no scipy on a large instance), fall back to the
-    # best available backend rather than refusing to solve.
-    if candidates:
-        return candidates[0]
-    raise FlowError(
-        "no registered flow backend is available for auto-selection"
-    )
-
-
 def record_stats(stats: SolveStats) -> None:
-    """Fold one solve's counters into the per-backend running totals."""
+    """Fold one solve's counters into the per-engine running totals."""
     total = _TOTALS.get(stats.backend)
     if total is None:
         _TOTALS[stats.backend] = replace(stats)
@@ -278,12 +83,12 @@ def record_stats(stats: SolveStats) -> None:
 
 
 def solver_statistics() -> dict[str, SolveStats]:
-    """Snapshot of per-backend totals since the last reset."""
+    """Snapshot of per-engine totals since the last reset."""
     return {name: replace(total) for name, total in _TOTALS.items()}
 
 
 def reset_solver_statistics() -> None:
-    """Zero the per-backend running totals."""
+    """Zero the per-engine running totals."""
     _TOTALS.clear()
 
 
@@ -296,7 +101,7 @@ def stats_scope():
     ``--flow-stats``, the campaign executor's per-job telemetry): totals
     from earlier runs in the same process would leak in.  This context
     manager isolates a scope — the yielded dict is filled with the
-    scope's own per-backend :class:`SolveStats` on exit — and then folds
+    scope's own per-engine :class:`SolveStats` on exit — and then folds
     the scoped counters back into the outer totals so nested/global
     accounting still adds up.
 
@@ -323,25 +128,21 @@ def stats_scope():
                 mine.merge(total)
 
 
-def timed_solve(backend: FlowBackend, lp, warm_start=None) -> "object":
-    """Run ``backend.solve`` with wall-time + stats accounting.
+def timed_solve(engine: str, solve: Callable, lp, **kwargs) -> "object":
+    """Run ``solve(lp, **kwargs)`` with wall-time + stats accounting.
 
-    Returns the backend's ``LpSolution`` with ``stats`` populated (a
-    backend that produced its own counters keeps them; only timing and
-    instance-size fields are filled in here).  ``warm_start`` is
-    forwarded only to backends whose capabilities advertise
-    ``supports_warm_start``; other backends solve cold.
+    Returns the engine's ``LpSolution`` with ``stats`` populated (an
+    engine that produced its own counters keeps them; only the engine
+    name, timing and instance-size fields are filled in here) and folds
+    the counters into the running totals under ``engine``.
     """
     start = time.perf_counter()
-    if warm_start is not None and backend.capabilities.supports_warm_start:
-        solution = backend.solve(lp, warm_start=warm_start)
-    else:
-        solution = backend.solve(lp)
+    solution = solve(lp, **kwargs)
     wall = time.perf_counter() - start
     stats = getattr(solution, "stats", None)
     if stats is None:
-        stats = SolveStats(backend=backend.name)
-    stats.backend = backend.name
+        stats = SolveStats(backend=engine)
+    stats.backend = engine
     stats.n_nodes = lp.n_nodes
     stats.n_arcs = len(lp.constraints)
     stats.wall_time_s = wall

@@ -1,9 +1,11 @@
-"""HiGHS (scipy.optimize.linprog) backend for the D-phase LP.
+"""HiGHS (scipy.optimize.linprog) engine for large D-phase LPs.
 
 Solves the primal difference-constraint LP directly: variables are the
 non-pinned node potentials, each constraint is one sparse row.  HiGHS
-is compiled code, so this backend is the fastest for large circuits; it
-also returns the potentials directly, with no dual recovery step.
+is compiled code, so this engine is the fastest for large circuits
+(:func:`repro.flow.duality.solve_difference_lp` sends it every LP above
+the native engine's size limit); it also returns the potentials
+directly, with no dual recovery step.
 """
 
 from __future__ import annotations

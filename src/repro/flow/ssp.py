@@ -1,4 +1,4 @@
-"""Reference successive-shortest-path solver (the ``ssp-legacy`` backend).
+"""Reference successive-shortest-path solver (the ``ssp-legacy`` oracle).
 
 This was the library's original native D-phase solver: Python
 lists-of-lists for the residual graph and a per-arc ``heapq`` Dijkstra
@@ -8,13 +8,12 @@ termination the potentials π are an optimal dual solution — exactly the
 quantity the D-phase needs to recover the displacement ``r``
 (``r(v) = π(ground) - π(v)``).
 
-It has been superseded as the default native engine by the array-based
-primal-dual solver in :mod:`repro.flow.arrayssp` (registered as
-``"ssp"``), but stays in-tree as ``solve_ssp_reference``: it is the
-cross-check oracle in the parity suite and the baseline that
-``benchmarks/run_flow_bench.py`` measures speedups against.
-:func:`solve_ssp` now points at the array engine so existing callers
-transparently get the fast path.
+It has been superseded by the array-based primal-dual engine in
+:mod:`repro.flow.arrayssp` and never runs on a D-phase.  It stays
+in-tree only as an independent exact-integer oracle: the parity tests
+compare both D-phase engines against it, and
+``benchmarks/run_flow_bench.py`` measures the array engine's speedup
+over it.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ import heapq
 import numpy as np
 
 from repro.errors import FlowError, InfeasibleFlowError, UnboundedFlowError
-from repro.flow.arrayssp import solve_ssp_array as solve_ssp
 from repro.flow.network import FlowProblem, FlowSolution
 
-__all__ = ["solve_ssp", "solve_ssp_reference", "solve_lp_ssp_reference"]
+__all__ = ["solve_ssp_reference", "solve_lp_ssp_reference"]
 
 _INF = float("inf")
 
@@ -155,7 +153,7 @@ def solve_ssp_reference(
 
 
 def solve_lp_ssp_reference(lp) -> "object":
-    """LP entry point for the ``ssp-legacy`` registry backend."""
+    """Solve a difference LP with the reference solver (test oracle)."""
     from repro.flow.duality import LpSolution, ground_flow, recover_r
 
     grounded = ground_flow(lp)

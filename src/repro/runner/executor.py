@@ -21,7 +21,7 @@
   (the JSONL run log) observe completion order but every record
   carries its job index.
 * **Batched kernel execution.**  ``run_campaign(..., batch=True)``
-  fuses compatible queued jobs — same kind, mode, backend and options;
+  fuses compatible queued jobs — same kind, mode and options;
   today the batchable kind is ``wphase`` — into one stacked kernel
   call (:mod:`repro.sizing.batch`) instead of N per-job invocations.
   Results are bit-identical to the per-job loop (the cache probe, the
@@ -313,7 +313,7 @@ def _execute_phases(job: Job) -> tuple[str, dict]:
     load = delays - dag.model.intrinsic
     budgets = delays * 1.01
 
-    # Warm up the LP backend once so one-time solver setup does not
+    # Warm up the LP solver once so one-time solver setup does not
     # pollute the smallest instance's measurement.
     d_phase(dag, x, config, -0.2 * load, 0.2 * load)
     width = 0
@@ -630,10 +630,10 @@ def batch_groups(
 ) -> tuple[list[list[tuple[int, Job, str | None]]], list[tuple[int, Job, str | None]]]:
     """Partition pending jobs into fusable batches plus leftovers.
 
-    Jobs fuse when they share kind, mode, flow backend and option
-    overrides (one technology serves the whole campaign, so this is
-    the "same technology/options" compatibility the stacked kernel
-    needs); everything else — including every non-batchable kind —
+    Jobs fuse when they share kind, mode and option overrides (one
+    technology serves the whole campaign, so this is the "same
+    technology/options" compatibility the stacked kernel needs);
+    everything else — including every non-batchable kind —
     comes back in ``rest`` and runs through the ordinary per-job
     paths.  Group order and in-group job order follow expansion order.
     """
@@ -642,7 +642,7 @@ def batch_groups(
     for item in pending:
         job = item[1]
         if job.kind in BATCHABLE_KINDS:
-            signature = (job.kind, job.mode, job.flow_backend, job.options)
+            signature = (job.kind, job.mode, job.options)
             groups.setdefault(signature, []).append(item)
         else:
             rest.append(item)

@@ -1,7 +1,7 @@
 """Campaign specifications: declarative sweeps expanded into jobs.
 
 A :class:`CampaignSpec` declares a sweep — circuits × delay-target
-fractions × flow-backend/option matrix — and expands deterministically
+fractions, under one set of option overrides — and expands deterministically
 into an ordered list of hashable :class:`Job` records.  Jobs are plain
 frozen dataclasses of primitives, so they pickle across the process
 pool, hash into cache keys, and round-trip through the JSONL run log.
@@ -83,7 +83,6 @@ class Job:
     delay_spec: float
     kind: str = "sizing"
     mode: str = "gate"
-    flow_backend: str = "auto"
     #: Sorted ``(field, value)`` MinfloOptions overrides (see
     #: :func:`normalize_options`).
     options: tuple[tuple[str, object], ...] = ()
@@ -101,15 +100,11 @@ class Job:
 
     def minflo_options(self) -> MinfloOptions:
         """Concrete options for this job (overrides applied)."""
-        return MinfloOptions(
-            flow_backend=self.flow_backend, **dict(self.options)
-        )
+        return MinfloOptions(**dict(self.options))
 
     def label(self) -> str:
         """Compact human-readable identity for tables and logs."""
         text = f"{self.circuit}@{self.delay_spec:g}"
-        if self.flow_backend != "auto":
-            text += f"/{self.flow_backend}"
         if self.kind != "sizing":
             text += f" [{self.kind}]"
         return text
@@ -121,7 +116,6 @@ class Job:
             "delay_spec": self.delay_spec,
             "kind": self.kind,
             "mode": self.mode,
-            "flow_backend": self.flow_backend,
             "options": [list(kv) for kv in self.options],
         }
 
@@ -133,7 +127,6 @@ class Job:
             delay_spec=float(payload["delay_spec"]),
             kind=payload.get("kind", "sizing"),
             mode=payload.get("mode", "gate"),
-            flow_backend=payload.get("flow_backend", "auto"),
             options=tuple(
                 (key, value) for key, value in payload.get("options", [])
             ),
@@ -142,18 +135,17 @@ class Job:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A declarative sweep: circuits × delay specs × backends.
+    """A declarative sweep: circuits × delay specs.
 
     ``delay_specs=()`` means "each circuit's own Table 1 delay
     specification" (only meaningful for suite circuits).  Expansion
-    order is deterministic: circuits outermost, then delay specs, then
-    backends — so job indices are stable across runs and resumes.
+    order is deterministic: circuits outermost, then delay specs — so job
+    indices are stable across runs and resumes.
     """
 
     name: str
     circuits: tuple[str, ...]
     delay_specs: tuple[float, ...] = ()
-    flow_backends: tuple[str, ...] = ("auto",)
     kind: str = "sizing"
     mode: str = "gate"
     options: tuple[tuple[str, object], ...] = ()
@@ -165,8 +157,6 @@ class CampaignSpec:
             raise RunnerError(
                 f"unknown job kind {self.kind!r}; pick from {JOB_KINDS}"
             )
-        if not self.flow_backends:
-            raise RunnerError("campaign needs at least one flow backend")
 
     def _specs_for(self, circuit: str) -> tuple[float, ...]:
         if self.delay_specs:
@@ -181,21 +171,17 @@ class CampaignSpec:
 
     def jobs(self) -> list[Job]:
         """Deterministic expansion into the campaign's job list."""
-        out = []
-        for circuit in self.circuits:
-            for delay_spec in self._specs_for(circuit):
-                for backend in self.flow_backends:
-                    out.append(
-                        Job(
-                            circuit=circuit,
-                            delay_spec=delay_spec,
-                            kind=self.kind,
-                            mode=self.mode,
-                            flow_backend=backend,
-                            options=self.options,
-                        )
-                    )
-        return out
+        return [
+            Job(
+                circuit=circuit,
+                delay_spec=delay_spec,
+                kind=self.kind,
+                mode=self.mode,
+                options=self.options,
+            )
+            for circuit in self.circuits
+            for delay_spec in self._specs_for(circuit)
+        ]
 
     def to_dict(self) -> dict:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
@@ -203,7 +189,6 @@ class CampaignSpec:
             "name": self.name,
             "circuits": list(self.circuits),
             "delay_specs": list(self.delay_specs),
-            "flow_backends": list(self.flow_backends),
             "kind": self.kind,
             "mode": self.mode,
             "options": [list(kv) for kv in self.options],
@@ -216,7 +201,6 @@ class CampaignSpec:
             name=payload["name"],
             circuits=tuple(payload["circuits"]),
             delay_specs=tuple(float(s) for s in payload["delay_specs"]),
-            flow_backends=tuple(payload.get("flow_backends", ["auto"])),
             kind=payload.get("kind", "sizing"),
             mode=payload.get("mode", "gate"),
             options=tuple(
@@ -225,7 +209,7 @@ class CampaignSpec:
         )
 
 
-def tier_preset(tier: str | None = None, flow_backend: str = "auto") -> CampaignSpec:
+def tier_preset(tier: str | None = None) -> CampaignSpec:
     """The Table 1 sweep for a benchmark tier.
 
     Mirrors ``REPRO_BENCH_TIER``: the ``smoke`` preset covers the small
@@ -241,11 +225,7 @@ def tier_preset(tier: str | None = None, flow_backend: str = "auto") -> Campaign
         raise RunnerError(
             f"unknown tier {tier!r} (use 'smoke' or 'paper')"
         )
-    return CampaignSpec(
-        name=f"table1-{tier}",
-        circuits=names,
-        flow_backends=(flow_backend,),
-    )
+    return CampaignSpec(name=f"table1-{tier}", circuits=names)
 
 
 def resolve_circuit(token: str) -> Circuit:

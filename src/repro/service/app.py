@@ -74,7 +74,6 @@ from repro.errors import ReproError, ServiceError
 from repro.faults.injector import active as active_faults
 from repro.faults.injector import install as install_faults
 from repro.faults.injector import observe_faults
-from repro.flow.registry import get_backend
 from repro.obs.metrics import MetricsRegistry, get_registry, observe_spans
 from repro.obs.trace import (
     SpanSink,
@@ -108,8 +107,7 @@ __all__ = ["SizingService", "build_job"]
 #: 400, not a silent default — a typo like ``"dela_spec"`` must never
 #: quietly size at 0.5.
 _REQUEST_FIELDS = frozenset((
-    "circuit", "bench", "delay_spec", "kind", "mode", "flow_backend",
-    "options", "async",
+    "circuit", "bench", "delay_spec", "kind", "mode", "options", "async",
 ))
 
 #: Job kinds the service accepts.  ``phases`` is excluded on purpose:
@@ -194,16 +192,6 @@ def build_job(body: dict, netlist_dir: Path | None = None) -> Job:
         mode in ("gate", "transistor"),
         f"'mode' must be 'gate' or 'transistor', got {mode!r}",
     )
-    flow_backend = body.get("flow_backend", "auto")
-    _require(
-        isinstance(flow_backend, str),
-        f"'flow_backend' must be a string, got {flow_backend!r}",
-    )
-    if flow_backend != "auto":
-        try:
-            get_backend(flow_backend)
-        except ReproError as exc:
-            raise ServiceError(str(exc)) from exc
     options = body.get("options")
     _require(
         options is None or isinstance(options, dict),
@@ -219,7 +207,6 @@ def build_job(body: dict, netlist_dir: Path | None = None) -> Job:
         delay_spec=float(delay_spec),
         kind=kind,
         mode=mode,
-        flow_backend=flow_backend,
         options=normalized,
     )
 

@@ -9,7 +9,7 @@ honest: anything the docs claim must round-trip through this code.
 
 The client is a *session*: one kept-alive HTTP connection, reused
 across calls and closed by :meth:`close` (or the context manager).
-Replies arrive in the ``repro.service/2`` envelope and every method
+Replies arrive in the ``repro.service/3`` envelope and every method
 returns the unwrapped ``data`` object, so callers never see transport
 framing.  Admission rejections (429) are retried automatically,
 sleeping the server-stated ``Retry-After``, up to ``retries`` times —
@@ -221,10 +221,6 @@ class ServiceClient:
         """Benchmark-suite discovery (``GET /v1/circuits``)."""
         return self._request("GET", "/v1/circuits")[0]
 
-    def backends(self) -> dict:
-        """Flow-backend discovery (``GET /v1/backends``)."""
-        return self._request("GET", "/v1/backends")[0]
-
     def stats(self) -> dict:
         """Service counters (``GET /v1/stats``)."""
         return self._request("GET", "/v1/stats")[0]
@@ -341,14 +337,6 @@ class ServiceClient:
             if last_status not in _LIVE_STATUSES:
                 return self.job(job_id)
 
-    def wait_for(
-        self, job_id: str, timeout: float = 300.0, poll: float = 0.05,
-    ) -> dict:
-        """Deprecated alias of :meth:`wait` (``poll`` is ignored —
-        waiting is event-driven now).  Removed with ``repro.service/3``."""
-        del poll
-        return self.wait(job_id, timeout=timeout)
-
     # -- sizing --------------------------------------------------------
 
     def _size_body(
@@ -357,7 +345,6 @@ class ServiceClient:
         bench: str | None,
         delay_spec: float | None,
         mode: str | None,
-        flow_backend: str | None,
         options: dict | None,
         kind: str | None = None,
     ) -> dict:
@@ -372,8 +359,6 @@ class ServiceClient:
             body["kind"] = kind
         if mode is not None:
             body["mode"] = mode
-        if flow_backend is not None:
-            body["flow_backend"] = flow_backend
         if options is not None:
             body["options"] = options
         return body
@@ -384,7 +369,6 @@ class ServiceClient:
         bench: str | None = None,
         delay_spec: float | None = None,
         mode: str | None = None,
-        flow_backend: str | None = None,
         options: dict | None = None,
         wait: bool = True,
         wait_timeout: float = 300.0,
@@ -404,11 +388,10 @@ class ServiceClient:
         if not wait:
             return self.submit(
                 circuit=circuit, bench=bench, delay_spec=delay_spec,
-                mode=mode, flow_backend=flow_backend, options=options,
-                kind=kind,
+                mode=mode, options=options, kind=kind,
             )
         body = self._size_body(
-            circuit, bench, delay_spec, mode, flow_backend, options, kind
+            circuit, bench, delay_spec, mode, options, kind
         )
         data, status = self._request("POST", "/v1/size", body)
         if status == 202 and data.get("status") in _LIVE_STATUSES:
@@ -421,7 +404,6 @@ class ServiceClient:
         bench: str | None = None,
         delay_spec: float | None = None,
         mode: str | None = None,
-        flow_backend: str | None = None,
         options: dict | None = None,
         kind: str | None = None,
     ) -> dict:
@@ -431,7 +413,7 @@ class ServiceClient:
         it with :meth:`wait`, :meth:`events`, or :meth:`job`.
         """
         body = self._size_body(
-            circuit, bench, delay_spec, mode, flow_backend, options, kind
+            circuit, bench, delay_spec, mode, options, kind
         )
         body["async"] = True
         return self._request("POST", "/v1/size", body)[0]

@@ -11,7 +11,6 @@ surface onto one shared :class:`~repro.service.app.SizingService`:
 ``GET /v1/jobs/<id>``           job status + full result when available
 ``GET /v1/jobs/<id>/events``    long-poll SSE stream of status changes
 ``GET /v1/circuits``            the benchmark suite + accepted tokens
-``GET /v1/backends``            registered flow backends + capabilities
 ``GET /v1/healthz``             liveness probe; reports ``degraded``
                                 when the shared-cache breaker is open
                                 or jobs sit in the dead-letter queue
@@ -38,12 +37,10 @@ from __future__ import annotations
 import json
 import math
 import urllib.parse
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ReproError, ServiceError
 from repro.faults.injector import decide as fault_decide
-from repro.flow.registry import registered_backends
 from repro.generators.iscas import SUITE
 from repro.obs.trace import (
     TRACE_HEADER,
@@ -58,10 +55,10 @@ from repro.sizing.serialize import canonical_json
 __all__ = ["WIRE_SCHEMA", "SizingHTTPServer", "make_server", "serve"]
 
 #: Identifier of the wire format carried by every response.  ``/2``
-#: introduced the uniform ``{"data": ...}`` success envelope; for one
-#: release the ``data`` fields are *also* mirrored at the top level so
-#: ``/1`` clients keep working — that shim goes away with ``/3``.
-WIRE_SCHEMA = "repro.service/2"
+#: introduced the uniform ``{"data": ...}`` success envelope; ``/3``
+#: dropped the top-level ``/1`` field mirror, ``GET /v1/backends`` and
+#: the flow-backend request field.
+WIRE_SCHEMA = "repro.service/3"
 
 #: Longest long-poll an events stream accepts, seconds.
 MAX_EVENTS_TIMEOUT = 300.0
@@ -124,18 +121,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _send_data(self, status: int, data: dict) -> None:
-        """Send one success reply in the uniform ``data`` envelope.
-
-        The one-release ``/1`` compat shim: every ``data`` field is
-        mirrored at the top level (never clobbering the envelope's own
-        keys), so clients written against the flat ``/1`` bodies keep
-        reading the same fields.
-        """
-        body = {"schema": WIRE_SCHEMA, "data": data}
-        for key, value in data.items():
-            if key not in body:
-                body[key] = value
-        self._send_json(status, body)
+        """Send one success reply in the uniform ``data`` envelope."""
+        self._send_json(status, {"schema": WIRE_SCHEMA, "data": data})
 
     def _drain_body(self) -> None:
         if getattr(self, "_body_consumed", True):
@@ -263,8 +250,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._get_jobs(service, params)
             elif method == "GET" and path == "/v1/circuits":
                 self._send_data(200, _circuits_body())
-            elif method == "GET" and path == "/v1/backends":
-                self._send_data(200, _backends_body())
             elif method == "GET" and path == "/v1/healthz":
                 self._send_data(200, service.health())
             elif method == "GET" and path == "/v1/stats":
@@ -413,7 +398,6 @@ _ROUTES = {
     "/v1/size": "POST",
     "/v1/jobs": "GET",
     "/v1/circuits": "GET",
-    "/v1/backends": "GET",
     "/v1/healthz": "GET",
     "/v1/stats": "GET",
     "/v1/metrics": "GET",
@@ -453,22 +437,6 @@ def _circuits_body() -> dict:
             "rca:N — ripple-carry adder of width N",
             "a server-side path to a .bench file",
             "or POST inline netlist text as 'bench' instead of 'circuit'",
-        ],
-    }
-
-
-def _backends_body() -> dict:
-    """Discovery payload: the flow registry's backends + capabilities."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "backends": [
-            {
-                "name": backend.name,
-                "priority": backend.priority,
-                "available": bool(backend.available()),
-                "capabilities": asdict(backend.capabilities),
-            }
-            for backend in registered_backends()
         ],
     }
 

@@ -10,7 +10,8 @@ through FSDU non-negativity on a delay-balanced configuration — and
 (the Taylor-expansion coefficients of equation (7), generalized to a
 weighted area objective ``w``).  The optimization is a difference-
 constraint LP over displacement potentials ``r`` whose dual is a
-min-cost network flow; any backend of :mod:`repro.flow` solves it.
+min-cost network flow, solved by
+:func:`repro.flow.duality.solve_difference_lp`.
 
 Costs and supplies are integerized by decimal scaling exactly as the
 paper prescribes, with FSDU costs rounded *down* so the integerized
@@ -47,13 +48,14 @@ class DPhaseResult:
     sensitivities: np.ndarray
     #: Predicted first-order area decrease, sum_i C_i * ΔD_i (>= 0).
     predicted_gain: float
+    #: Engine that solved the LP: ``"ssp"`` or ``"scipy"``.
     backend: str
     #: Flow-solver counters for this solve (see
     #: :class:`repro.flow.registry.SolveStats`).
     stats: object | None = None
     #: Starting basis for the next D-phase solve (see
-    #: :class:`repro.flow.arrayssp.WarmStartBasis`); None when the
-    #: backend does not support warm starts.
+    #: :class:`repro.flow.arrayssp.WarmStartBasis`); None when HiGHS
+    #: solved the LP.
     warm_basis: object | None = None
 
 
@@ -168,15 +170,14 @@ def d_phase(
     config: FsduConfiguration,
     min_dd: np.ndarray,
     max_dd: np.ndarray,
-    backend: str = "auto",
     warm_start: object | None = None,
 ) -> DPhaseResult:
     """Run one D-phase: redistribute delay budgets at fixed sizes.
 
     ``warm_start`` is the ``warm_basis`` of a previous D-phase on the
     same DAG (the W/D alternation produces structurally identical flow
-    instances every iteration); it accelerates supporting backends and
-    never changes the optimum.
+    instances every iteration); it accelerates the native engine on
+    small LPs and never changes the optimum.
     """
     if np.any(max_dd < min_dd):
         raise SizingError("MAX_ΔD must dominate MIN_ΔD componentwise")
@@ -193,7 +194,7 @@ def d_phase(
     lp = build_dphase_lp(
         dag, config, sensitivities, min_dd, max_dd, cost_scale, weight_scale
     )
-    solution = solve_difference_lp(lp, backend=backend, warm_start=warm_start)
+    solution = solve_difference_lp(lp, warm_start=warm_start)
 
     n = dag.n
     r_vertex = solution.r[:n] / cost_scale

@@ -22,9 +22,9 @@ actually changes (both are exact — they never alter the iterates):
   with the perturbed cone instead of |E|.  Its reports drive both the
   delay balancing and the safety check.
 * **Warm-started D-phase.**  Every D-phase solves a flow instance with
-  identical topology; the previous solve's basis (potentials + flow)
-  seeds the next one, so only the supply drift is re-routed
-  (``MinfloOptions.warm_start`` disables this for A/B comparisons).
+  identical topology; on LPs small enough for the native engine the
+  previous solve's basis (potentials + flow) seeds the next one, so
+  only the supply drift is re-routed.
 
 Within each iteration the W-phase runs on the vectorized level-blocked
 kernel by default (``MinfloOptions.kernel``; see
@@ -93,14 +93,6 @@ class MinfloOptions:
     max_iterations: int = 60
     #: Delay-balancing configuration fed to the D-phase.
     balancing: str = "asap"
-    #: Min-cost-flow / LP backend: "auto" or a name registered in
-    #: :mod:`repro.flow.registry` ("ssp", "ssp-legacy", "networkx",
-    #: "scipy").
-    flow_backend: str = "auto"
-    #: Seed each D-phase solve with the previous iteration's basis
-    #: (backends that cannot warm-start silently solve cold).  Exact:
-    #: warm and cold solves reach the same optimum.
-    warm_start: bool = True
     #: W-phase relaxation engine: "vectorized" (level-blocked kernel,
     #: :mod:`repro.sizing.kernels`) or "scalar" (per-vertex reference
     #: loop).  Identical iterates; the kernel is just faster.
@@ -125,10 +117,6 @@ class MinfloOptions:
                 f"unknown sizing kernel {self.kernel!r}; "
                 f"pick from {SMP_ENGINES}"
             )
-        if self.flow_backend != "auto":
-            from repro.flow.registry import get_backend
-
-            get_backend(self.flow_backend)  # fail fast on typos
 
 
 def minflotransit(
@@ -238,8 +226,7 @@ def minflotransit(
                 config,
                 min_dd,
                 max_dd,
-                backend=options.flow_backend,
-                warm_start=warm if options.warm_start else None,
+                warm_start=warm,
             )
             d_span.set(backend=dres.backend)
         phase_seconds["d_phase"] += d_span.duration_s

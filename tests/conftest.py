@@ -17,8 +17,43 @@ import pytest
 
 from repro.circuit import CircuitBuilder
 from repro.dag import build_sizing_dag
+from repro.flow.arrayssp import solve_lp_ssp
+from repro.flow.scipy_backend import solve_lp_scipy
+from repro.flow.ssp import solve_lp_ssp_reference
 from repro.generators import build_circuit, ripple_carry_adder
 from repro.tech import default_technology
+
+#: Every difference-LP engine by name, each callable as
+#: ``solve(lp, warm_start=None)``: the two engines
+#: ``solve_difference_lp`` picks between by LP size, plus the
+#: ``ssp-legacy`` exact-integer oracle.  Only ``ssp`` uses a warm basis.
+LP_ENGINES = {
+    "ssp": solve_lp_ssp,
+    "ssp-legacy": lambda lp, warm_start=None: solve_lp_ssp_reference(lp),
+    "scipy": lambda lp, warm_start=None: solve_lp_scipy(lp),
+}
+
+
+@pytest.fixture(scope="session")
+def lp_engines():
+    return LP_ENGINES
+
+
+@pytest.fixture()
+def force_engine(monkeypatch):
+    """Route every D-phase LP to one named engine, whatever its size."""
+
+    def force(name: str) -> None:
+        engine = LP_ENGINES[name]
+
+        def solve(lp, warm_start=None):
+            solution = engine(lp, warm_start=warm_start)
+            lp.check_feasible(solution.r)
+            return solution
+
+        monkeypatch.setattr("repro.sizing.dphase.solve_difference_lp", solve)
+
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,10 @@
 """Tests for the experiment harnesses and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -153,11 +158,37 @@ class TestCli:
             assert "positive fraction" in capsys.readouterr().err
 
     def test_bad_backend_exit_code(self, capsys):
+        """The retired ``--flow-backend`` flag is a usage error."""
         from repro.__main__ import main
 
-        assert main(["size", "c17", "--spec", "0.6",
-                     "--flow-backend", "warp-drive"]) == 2
-        assert "unknown flow backend" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["size", "c17", "--spec", "0.6", "--flow-backend", "ssp"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --flow-backend" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.slow
+    def test_size_never_imports_networkx(self):
+        """``python -m repro size`` runs without loading networkx."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import runpy, sys\n"
+            "sys.argv = ['repro', 'size', 'c17']\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "finally:\n"
+            "    print('networkx loaded:', 'networkx' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "converged" in out.stdout
+        assert "networkx loaded: False" in out.stdout
 
     def test_suite_json(self, capsys):
         import json

@@ -5,24 +5,22 @@ import pytest
 
 from repro.errors import FlowError, InfeasibleFlowError
 from repro.flow import (
+    SSP_MAX_CONSTRAINTS,
     DifferenceConstraintLP,
     FlowProblem,
     SolveStats,
     check_flow_feasible,
     check_flow_optimal,
-    get_backend,
     ground_flow,
-    integerize_supplies,
     integerize_values,
-    registered_backends,
-    select_backend,
     solve_difference_lp,
     solve_ssp,
-    solve_ssp_reference,
     solver_statistics,
 )
+from repro.flow.scipy_backend import solve_lp_scipy
+from repro.flow.ssp import solve_lp_ssp_reference, solve_ssp_reference
 
-BACKENDS = ("ssp", "ssp-legacy", "networkx", "scipy")
+ENGINES = ("ssp", "ssp-legacy", "scipy")
 
 
 class TestSspSolver:
@@ -173,21 +171,21 @@ class TestDifferenceLP:
         lp.add(0, 2, 1.0)
         return lp
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_small_lp_optimum(self, backend):
+    @pytest.mark.parametrize("backend", ENGINES)
+    def test_small_lp_optimum(self, backend, lp_engines):
         lp = self._small_lp()
-        solution = solve_difference_lp(lp, backend=backend)
+        solution = lp_engines[backend](lp)
         # Optimum: r1 = 2, r2 = -1 -> objective 3.
         assert solution.objective == pytest.approx(3.0)
         assert solution.r[0] == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree_on_random_instances(self, backend):
+    @pytest.mark.parametrize("backend", ENGINES)
+    def test_backends_agree_on_random_instances(self, backend, lp_engines):
         rng = np.random.default_rng(9)
         for trial in range(4):
             lp = _random_lp(rng, n=14)
-            reference = solve_difference_lp(lp, backend="scipy")
-            solution = solve_difference_lp(lp, backend=backend)
+            reference = solve_lp_scipy(lp)
+            solution = lp_engines[backend](lp)
             assert solution.objective == pytest.approx(
                 reference.objective, rel=1e-6
             )
@@ -201,12 +199,9 @@ class TestDifferenceLP:
         )
         lp.add(0, 1, -5.0)  # 0 <= -5: impossible
         with pytest.raises(InfeasibleFlowError):
-            solve_difference_lp(lp, backend="scipy")
-
-    def test_unknown_backend(self):
-        lp = self._small_lp()
-        with pytest.raises(FlowError, match="backend"):
-            solve_difference_lp(lp, backend="cplex")
+            solve_difference_lp(lp)
+        with pytest.raises(InfeasibleFlowError):
+            solve_lp_scipy(lp)
 
     def test_ground_flow_balances(self):
         lp = self._small_lp()
@@ -236,52 +231,61 @@ def _random_lp(rng, n=12) -> DifferenceConstraintLP:
     return lp
 
 
-class TestBackendRegistry:
-    def test_canonical_backends_registered(self):
-        names = {backend.name for backend in registered_backends()}
-        assert {"ssp", "ssp-legacy", "networkx", "scipy"} <= names
+def _chain_lp(n_constraints: int) -> DifferenceConstraintLP:
+    """A bounded difference LP with exactly ``n_constraints`` rows."""
+    n = n_constraints // 2 + 1
+    rng = np.random.default_rng(n_constraints)
+    lp = DifferenceConstraintLP(
+        n_nodes=n,
+        weights=rng.integers(-5, 6, size=n).astype(float),
+        pinned=frozenset({0}),
+    )
+    for v in range(1, n):
+        lp.add(v, v - 1, float(rng.integers(0, 10)))
+        lp.add(v - 1, v, float(rng.integers(0, 10)))
+    if n_constraints % 2:
+        lp.add(n - 1, 0, 100.0)
+    assert len(lp.constraints) == n_constraints
+    return lp
 
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(FlowError, match="registered"):
-            get_backend("cplex")
+
+class TestBackendRegistry:
+    """The fixed engine rule of ``solve_difference_lp`` and the solver
+    statistics kept in :mod:`repro.flow.registry`."""
 
     def test_auto_selection_prefers_native_on_small_instances(self):
-        assert select_backend(n_constraints=10).name == "ssp"
+        assert SSP_MAX_CONSTRAINTS == 128
+        solution = solve_difference_lp(_chain_lp(128))
+        assert solution.backend == solution.stats.backend == "ssp"
+        assert solution.warm_basis is not None
 
     def test_auto_selection_respects_size_caps(self):
-        big = select_backend(n_constraints=1_000_000)
-        cap = big.capabilities.max_constraints
-        assert cap is None or cap >= 1_000_000
+        lp = _chain_lp(129)
+        solution = solve_difference_lp(lp)
+        assert solution.backend == solution.stats.backend == "scipy"
+        assert solution.warm_basis is None
+        reference = solve_lp_ssp_reference(lp)
+        assert solution.objective == pytest.approx(reference.objective)
 
-    def test_auto_selection_falls_back_when_deps_missing(self):
-        # Regression: with every in-cap backend unavailable (no scipy
-        # on a big instance), auto must fall back to an available
-        # backend instead of refusing to solve.
-        from dataclasses import replace as dc_replace
+    def test_warm_basis_reaches_only_ssp(self, monkeypatch):
+        small = _chain_lp(128)
+        cold = solve_difference_lp(small)
+        warm = solve_difference_lp(small, warm_start=cold.warm_basis)
+        assert warm.stats.warm_solves == 1
+        assert warm.objective == cold.objective
 
-        from repro.flow import register_backend
+        calls = []
 
-        originals = {
-            name: get_backend(name) for name in ("scipy", "networkx")
-        }
-        try:
-            for name, backend in originals.items():
-                register_backend(
-                    dc_replace(backend, available=lambda: False)
-                )
-            chosen = select_backend(n_constraints=30_000)
-            assert chosen.name == "ssp"
-        finally:
-            for backend in originals.values():
-                register_backend(backend)
+        def spy(lp, **kwargs):
+            calls.append(kwargs)
+            return solve_lp_scipy(lp)
 
-    def test_capability_metadata(self):
-        ssp = get_backend("ssp")
-        assert ssp.capabilities.native
-        assert ssp.capabilities.returns_duals
-        assert ssp.capabilities.exact_integer
-        scipy_backend = get_backend("scipy")
-        assert not scipy_backend.capabilities.native
+        monkeypatch.setattr("repro.flow.scipy_backend.solve_lp_scipy", spy)
+        big = _chain_lp(129)
+        solution = solve_difference_lp(big, warm_start=cold.warm_basis)
+        assert calls == [{}]
+        assert solution.backend == "scipy"
+        assert solution.stats.warm_solves == 0
 
     def test_stats_recorded_on_every_solve(self):
         lp = DifferenceConstraintLP(
@@ -295,7 +299,7 @@ class TestBackendRegistry:
         lp.add(2, 0, 0.0)
         before = solver_statistics().get("ssp")
         solves_before = before.solves if before else 0
-        solution = solve_difference_lp(lp, backend="ssp")
+        solution = solve_difference_lp(lp)
         assert isinstance(solution.stats, SolveStats)
         assert solution.stats.backend == "ssp"
         assert solution.stats.n_arcs == 4
@@ -315,11 +319,3 @@ class TestIntegerizePolicy:
     def test_unknown_mode_rejected(self):
         with pytest.raises(FlowError, match="rounding"):
             integerize_values(np.array([1.0]), mode="ceil")
-
-    def test_supply_rounding_preserves_balance(self):
-        supplies = np.array([2.4, -1.2, 0.4, -1.6])  # sums to 0
-        rounded = integerize_supplies(supplies, ground=3)
-        assert rounded.sum() == 0
-        assert rounded.dtype == np.int64
-        # Non-ground nodes moved by at most the rounding itself.
-        assert np.all(np.abs(rounded[:3] - supplies[:3]) <= 0.5)

@@ -76,13 +76,14 @@ class TestMinflotransit:
         with pytest.raises(SizingError):
             MinfloOptions(max_iterations=0)
 
-    @pytest.mark.parametrize("backend", ["ssp", "ssp-legacy", "networkx", "scipy"])
-    def test_backends_give_comparable_area(self, c17_gate_dag, backend):
+    @pytest.mark.parametrize("backend", ["ssp", "ssp-legacy", "scipy"])
+    def test_backends_give_comparable_area(
+        self, c17_gate_dag, backend, force_engine
+    ):
+        force_engine(backend)
         dag = c17_gate_dag
         dmin = analyze(dag, dag.min_sizes()).critical_path_delay
-        result = minflotransit(
-            dag, 0.5 * dmin, MinfloOptions(flow_backend=backend)
-        )
+        result = minflotransit(dag, 0.5 * dmin, MinfloOptions())
         assert result.meets_target
         assert result.area_saving_vs_initial >= 0.0
 

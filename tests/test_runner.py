@@ -40,12 +40,11 @@ class TestSpec:
             name="m",
             circuits=("c17", "c432eq"),
             delay_specs=(0.5, 0.6),
-            flow_backends=("ssp", "auto"),
         )
         jobs = spec.jobs()
-        assert len(jobs) == 8
+        assert len(jobs) == 4
         assert jobs == spec.jobs()  # stable across expansions
-        assert jobs[0].circuit == "c17" and jobs[0].flow_backend == "ssp"
+        assert jobs[0].circuit == "c17" and jobs[0].delay_spec == 0.5
         assert jobs[-1].circuit == "c432eq" and jobs[-1].delay_spec == 0.6
 
     def test_empty_delay_specs_use_suite_defaults(self):
@@ -67,7 +66,7 @@ class TestSpec:
             name="rt",
             circuits=("c17",),
             delay_specs=(0.7,),
-            options=normalize_options({"warm_start": False}),
+            options=normalize_options({"kernel": "scalar"}),
         )
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
         job = spec.jobs()[0]
@@ -81,10 +80,10 @@ class TestSpec:
         job = Job(
             circuit="c17",
             delay_spec=0.5,
-            options=normalize_options({"warm_start": False, "alpha": 0.1}),
+            options=normalize_options({"kernel": "scalar", "alpha": 0.1}),
         )
         options = job.minflo_options()
-        assert options.warm_start is False
+        assert options.kernel == "scalar"
         assert options.alpha == pytest.approx(0.1)
 
     def test_tier_preset_matches_env(self, monkeypatch):
@@ -109,7 +108,7 @@ class TestCache:
         assert job_key(j1) == job_key(Job(circuit="c17", delay_spec=0.6))
         assert job_key(j1) != job_key(Job(circuit="c17", delay_spec=0.7))
         assert job_key(j1) != job_key(
-            Job(circuit="c17", delay_spec=0.6, flow_backend="ssp")
+            Job(circuit="c17", delay_spec=0.6, mode="transistor")
         )
 
     def test_put_get_roundtrip(self, tmp_path):
@@ -417,9 +416,7 @@ class TestCampaignCli:
         from repro.experiments.table1 import campaign_spec
 
         assert campaign_spec("smoke") == tier_preset("smoke")
-        assert campaign_spec("paper", "ssp") == tier_preset(
-            "paper", flow_backend="ssp"
-        )
+        assert campaign_spec("paper") == tier_preset("paper")
 
     def test_figure7_panel_replays_from_cache(self, tmp_path, monkeypatch):
         from repro.experiments.figure7 import run_panel

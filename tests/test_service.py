@@ -90,7 +90,7 @@ class TestSizeEndpoint:
     def test_async_job_lifecycle(self, live):
         ticket = live.client.size(circuit="c17", delay_spec=0.9, wait=False)
         assert ticket["status"] in ("queued", "running")
-        done = live.client.wait_for(ticket["id"], timeout=60)
+        done = live.client.wait(ticket["id"], timeout=60)
         assert done["status"] == "ok"
         assert done["payload"]["result"]["area"] > 0
         assert live.client.job(ticket["id"])["status"] == "ok"
@@ -125,7 +125,7 @@ class TestTransport:
             conn.request("GET", "/v1/healthz")
             follow_up = conn.getresponse()
             assert follow_up.status == 200
-            assert json.loads(follow_up.read())["status"] == "ok"
+            assert json.loads(follow_up.read())["data"]["status"] == "ok"
         finally:
             conn.close()
 
@@ -239,12 +239,16 @@ class TestErrors:
         ({"circuit": "c17", "delay_spec": -0.5}, "positive"),
         ({"circuit": "c17", "delay_spec": "fast"}, "positive"),
         ({"circuit": "c17", "mode": "quantum"}, "mode"),
-        ({"circuit": "c17", "flow_backend": "gurobi"}, "unknown flow"),
+        ({"circuit": "c17", "flow_backend": "ssp"}, "unknown request field"),
         ({"circuit": "c17", "options": {"not_a_knob": 1}},
          "unknown MinfloOptions"),
         ({"circuit": "c17", "dela_spec": 0.5}, "unknown request field"),
         ({"circuit": "no-such-circuit"}, "cannot resolve circuit"),
         ({"bench": "y = FROB(a)\n"}, "invalid 'bench'"),
+        ({"circuit": "c17", "options": {"flow_backend": "ssp"}},
+         "unknown MinfloOptions"),
+        ({"circuit": "c17", "options": {"warm_start": False}},
+         "unknown MinfloOptions"),
     ])
     def test_malformed_bodies_get_400(self, live, body, fragment):
         with pytest.raises(ServiceError) as err:
@@ -296,15 +300,10 @@ class TestDiscovery:
             spec.name for spec in SUITE
         ]
 
-    def test_backends_reflect_the_registry(self, live):
-        from repro.flow.registry import registered_backends
-
-        body = live.client.backends()
-        assert [b["name"] for b in body["backends"]] == [
-            b.name for b in registered_backends()
-        ]
-        ssp = next(b for b in body["backends"] if b["name"] == "ssp")
-        assert ssp["capabilities"]["supports_warm_start"] is True
+    def test_backends_endpoint_is_gone(self, live):
+        with pytest.raises(ServiceError) as err:
+            live.client._request("GET", "/v1/backends")
+        assert err.value.status == 404
 
     def test_stats_account_for_work(self, live):
         live.client.size(circuit="c17", delay_spec=0.6)

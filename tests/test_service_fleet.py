@@ -171,18 +171,17 @@ class TestWireEnvelope:
         finally:
             conn.close()
 
-    def test_success_envelope_with_compat_shim(self, live):
+    def test_success_envelope_has_no_v1_mirror(self, live):
         status, _, reply = self._raw(live, "GET", "/v1/healthz")
         assert status == 200
-        assert reply["schema"] == WIRE_SCHEMA == "repro.service/2"
+        assert reply["schema"] == WIRE_SCHEMA == "repro.service/3"
         assert reply["data"]["status"] == "ok"
-        # The one-release /1 shim: data fields mirrored at top level.
-        assert reply["status"] == reply["data"]["status"]
-        assert reply["workers"] == reply["data"]["workers"]
+        # /3 dropped the /1 shim that mirrored data fields at top level.
+        assert set(reply) == {"schema", "data"}
 
     def test_every_v1_endpoint_wears_the_envelope(self, live):
-        for path in ("/v1/healthz", "/v1/circuits", "/v1/backends",
-                     "/v1/stats", "/v1/jobs"):
+        for path in ("/v1/healthz", "/v1/circuits", "/v1/stats",
+                     "/v1/jobs"):
             status, _, reply = self._raw(live, "GET", path)
             assert status == 200, path
             assert reply["schema"] == WIRE_SCHEMA, path
@@ -193,7 +192,7 @@ class TestWireEnvelope:
         )
         assert status == 200
         assert reply["data"]["status"] == "ok"
-        assert reply["status"] == "ok"  # shim
+        assert "status" not in reply  # no /1 mirror
 
     def test_error_envelope_is_structured(self, live):
         status, _, reply = self._raw(live, "GET", "/v1/jobs/j999999")

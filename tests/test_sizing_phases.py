@@ -129,37 +129,38 @@ class TestDPhase:
         load = delays - dag.model.intrinsic
         return x, delays, config, load
 
-    @pytest.mark.parametrize("backend", ["ssp", "networkx", "scipy"])
-    def test_delta_within_trust_region(self, c17_gate_dag, backend):
+    @pytest.mark.parametrize("backend", ["ssp", "scipy"])
+    def test_delta_within_trust_region(
+        self, c17_gate_dag, backend, force_engine
+    ):
+        force_engine(backend)
         dag = c17_gate_dag
         x, delays, config, load = self._setup(dag)
-        result = d_phase(
-            dag, x, config, -0.2 * load, 0.2 * load, backend=backend
-        )
+        result = d_phase(dag, x, config, -0.2 * load, 0.2 * load)
         assert np.all(result.delta_d <= 0.2 * load + 1e-9)
         assert np.all(result.delta_d >= -0.2 * load - 1e-9)
         assert result.predicted_gain >= -1e-9
 
-    @pytest.mark.parametrize("backend", ["ssp", "networkx", "scipy"])
-    def test_budgets_remain_timing_safe(self, adder8_dag, backend):
+    @pytest.mark.parametrize("backend", ["ssp", "scipy"])
+    def test_budgets_remain_timing_safe(
+        self, adder8_dag, backend, force_engine
+    ):
         """After the D-phase, budgets still meet the horizon."""
+        force_engine(backend)
         dag = adder8_dag
         x, delays, config, load = self._setup(dag, scale=2.0)
-        result = d_phase(
-            dag, x, config, -0.25 * load, 0.25 * load, backend=backend
-        )
+        result = d_phase(dag, x, config, -0.25 * load, 0.25 * load)
         budgets = delays + result.delta_d
         report = GraphTimer(dag).analyze(budgets)
         assert report.critical_path_delay <= config.horizon * (1 + 1e-6)
 
-    def test_backends_agree(self, c17_gate_dag):
+    def test_backends_agree(self, c17_gate_dag, force_engine):
         dag = c17_gate_dag
         x, delays, config, load = self._setup(dag)
         gains = {}
-        for backend in ("ssp", "networkx", "scipy"):
-            result = d_phase(
-                dag, x, config, -0.2 * load, 0.2 * load, backend=backend
-            )
+        for backend in ("ssp", "ssp-legacy", "scipy"):
+            force_engine(backend)
+            result = d_phase(dag, x, config, -0.2 * load, 0.2 * load)
             gains[backend] = result.predicted_gain
         values = list(gains.values())
         assert values[0] == pytest.approx(values[1], rel=1e-6)
