@@ -83,7 +83,7 @@ def build_dphase_instance(name: str, spec: float) -> DifferenceConstraintLP:
     timer = GraphTimer(dag)
     d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
     target = spec * d_min
-    seed = tilos_size(dag, target, timer=timer)
+    seed = tilos_size(dag, target)
     delays = dag.delays(seed.x)
     config = balance(dag, delays, horizon=target, timer=timer)
     load = delays - dag.model.intrinsic

@@ -47,7 +47,7 @@ from repro.dag import build_sizing_dag  # noqa: E402
 from repro.flow.arrayssp import solve_lp_ssp  # noqa: E402
 from repro.flow.registry import timed_solve  # noqa: E402
 from repro.generators.iscas import SUITE, build_circuit  # noqa: E402
-from repro.sizing import TilosOptions, tilos_size  # noqa: E402
+from repro.sizing import tilos_size  # noqa: E402
 from repro.sizing.dphase import d_phase  # noqa: E402
 from repro.sizing.wphase import w_phase  # noqa: E402
 from repro.tech import default_technology  # noqa: E402
@@ -81,9 +81,7 @@ def bench_circuit(name: str, spec: float, iterations: int) -> dict:
     d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
     target = spec * d_min
 
-    seed = tilos_size(
-        dag, target, TilosOptions(engine="incremental"), timer=timer
-    )
+    seed = tilos_size(dag, target)
     tstats = seed.timing_stats
     entry: dict = {
         "name": name,

@@ -1,25 +1,29 @@
-"""Sizing-kernel benchmark: scalar vs vectorized W-phase and TILOS.
+"""Sizing-kernel benchmark: scalar oracles vs vectorized W-phase and TILOS.
 
-Measures the two sizing-phase kernels this library provides (see
-``src/repro/sizing/kernels.py``) on the same instance, in the same
-process, so the scalar/vectorized ratios survive CI runner changes the
-way the flow benchmark's ssp-vs-legacy ratio does:
+Measures the two sizing-phase kernels this library ships (see
+``src/repro/sizing/kernels.py``) against the scalar reference loops
+kept as test oracles in ``tests/oracles/``, on the same instance, in
+the same process, so the scalar/vectorized ratios survive CI runner
+changes the way the flow benchmark's ssp-vs-legacy ratio does.  The
+"scalar" column is always the oracle:
 
-* **W-phase SMP relaxation** — ``w_phase`` with ``engine="scalar"``
-  (per-vertex Gauss-Seidel) vs ``engine="vectorized"`` (level-blocked
-  CSR kernel) on identical budgets; best-of-3 wall times, and the
-  results are asserted identical (same sweep count, same clamped set,
-  sizes equal to 1e-9).
+* **W-phase SMP relaxation** — the oracle's per-vertex Gauss-Seidel
+  ``w_phase`` vs the runtime ``w_phase`` (level-blocked CSR kernel) on
+  identical budgets; best-of-3 wall times, and the results are
+  asserted identical (same sweep count, same clamped set, sizes equal
+  to 1e-9).
 
-* **TILOS sensitivity kernel** — a full greedy run per kernel at the
-  circuit's delay spec; wall time, bump count and bump throughput,
-  plus the kernel's scan/refresh split.  Bump sequences must agree
-  exactly (same iteration count, final sizes equal to 1e-9).
+* **TILOS sensitivity kernel** — a full greedy run each (the oracle's
+  per-candidate scan vs the runtime array kernel) at the circuit's
+  delay spec; wall time, bump count and bump throughput, plus the
+  scan/refresh split.  Bump sequences must agree exactly (same
+  iteration count, final sizes equal to 1e-9).
 
 * **End-to-end W/D iterations** — ``minflotransit`` replayed from the
-  same TILOS seed with each W-phase kernel (a few iterations); the
+  same TILOS seed twice: as shipped, and with the oracle ``w_phase``
+  patched into :mod:`repro.sizing.minflo` (a few iterations); the
   per-phase wall-time split shows how much of an iteration the W-phase
-  is before/after vectorization.
+  is before/after vectorization, and the final areas must agree.
 
 * **Batched campaign tier** — a 200-job ``wphase`` campaign (20 small
   circuits x 10 delay specs) run twice: the per-job loop vs
@@ -55,10 +59,16 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests"))
+
+from oracles import smp as smp_oracle  # noqa: E402
+from oracles import tilos as tilos_oracle  # noqa: E402
 
 from repro.dag import build_sizing_dag  # noqa: E402
 from repro.generators import build_circuit, ripple_carry_adder  # noqa: E402
@@ -66,7 +76,6 @@ from repro.generators.multipliers import array_multiplier  # noqa: E402
 from repro.generators.random_logic import random_logic  # noqa: E402
 from repro.sizing import (  # noqa: E402
     MinfloOptions,
-    TilosOptions,
     minflotransit,
     tilos_size,
     w_phase,
@@ -81,7 +90,9 @@ TARGET_W_SPEEDUP = 3.0
 #: loop on the 200-small-job sweep (both sides same process/machine).
 BATCH_TARGET_RATIO = 3.0
 PARITY_ATOL = 1e-9
-KERNELS = ("scalar", "vectorized")
+#: The two sides of every comparison: the scalar oracle and the runtime.
+W_PHASE = {"scalar": smp_oracle.w_phase, "vectorized": w_phase}
+TILOS = {"scalar": tilos_oracle.tilos_size, "vectorized": tilos_size}
 
 
 def tier_circuits(tier: str) -> list[dict]:
@@ -125,14 +136,14 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def bench_w_phase(dag, failures: list[str], name: str) -> dict:
-    """Scalar vs vectorized W-phase on identical budgets."""
+    """Scalar oracle vs vectorized W-phase on identical budgets."""
     x_ref = dag.min_sizes() * 2.0
     budgets = dag.delays(x_ref)
     get_smp_plan(dag)  # build (and time-exclude) the cached level plan
-    results = {k: w_phase(dag, budgets, engine=k) for k in KERNELS}
+    results = {k: solve(dag, budgets) for k, solve in W_PHASE.items()}
     times = {
-        k: _best_of(lambda k=k: w_phase(dag, budgets, engine=k))
-        for k in KERNELS
+        k: _best_of(lambda solve=solve: solve(dag, budgets))
+        for k, solve in W_PHASE.items()
     }
     scalar, vectorized = results["scalar"], results["vectorized"]
     size_gap = float(np.max(np.abs(scalar.x - vectorized.x)))
@@ -157,10 +168,8 @@ def bench_w_phase(dag, failures: list[str], name: str) -> dict:
 
 
 def bench_tilos(dag, target, failures, name) -> tuple[dict, object]:
-    """Scalar vs vectorized TILOS kernels; returns (entry, seed run)."""
-    runs = {
-        k: tilos_size(dag, target, TilosOptions(kernel=k)) for k in KERNELS
-    }
+    """Scalar oracle vs vectorized TILOS; returns (entry, seed run)."""
+    runs = {k: size(dag, target) for k, size in TILOS.items()}
     scalar, vectorized = runs["scalar"], runs["vectorized"]
     if scalar.iterations != vectorized.iterations:
         failures.append(
@@ -193,14 +202,16 @@ def bench_iterations(
     dag, target: float, seed_x, iterations: int,
     failures: list[str], name: str,
 ) -> dict:
-    """End-to-end W/D alternation from one seed, per W-phase kernel."""
+    """End-to-end W/D alternation from one seed, per W-phase kernel
+    (the scalar side runs with the oracle patched into minflo)."""
     entry: dict = {"iterations": iterations}
     areas = {}
-    for kernel in KERNELS:
-        options = MinfloOptions(kernel=kernel, max_iterations=iterations)
-        start = time.perf_counter()
-        result = minflotransit(dag, target, options, x0=seed_x)
-        wall = time.perf_counter() - start
+    options = MinfloOptions(max_iterations=iterations)
+    for kernel, solve in W_PHASE.items():
+        with mock.patch("repro.sizing.minflo.w_phase", solve):
+            start = time.perf_counter()
+            result = minflotransit(dag, target, options, x0=seed_x)
+            wall = time.perf_counter() - start
         areas[kernel] = result.area
         entry[kernel] = {
             "seconds": round(wall, 6),

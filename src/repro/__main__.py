@@ -50,7 +50,7 @@ from repro.dag import build_sizing_dag
 from repro.errors import ReproError
 from repro.generators.iscas import SUITE
 from repro.runner.spec import JOB_KINDS
-from repro.sizing import MinfloOptions, TilosOptions, minflotransit, tilos_size
+from repro.sizing import minflotransit, tilos_size
 from repro.tech import default_technology
 from repro.timing import analyze
 
@@ -96,7 +96,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
     # cumulative per process, so printing them directly would mix in any
     # earlier solves (other commands, other library calls).
     with stats_scope() as flow_totals:
-        seed = tilos_size(dag, target, TilosOptions(kernel=args.kernel))
+        seed = tilos_size(dag, target)
         if not seed.feasible:
             print(f"TILOS stalled at {seed.critical_path_delay:.0f} ps — "
                   f"spec {args.spec} is below this circuit's delay floor")
@@ -104,12 +104,7 @@ def _cmd_size(args: argparse.Namespace) -> int:
         print(f"TILOS: area {seed.area:.1f} "
               f"({seed.area / dag.area(dag.min_sizes()):.2f}x min), "
               f"{seed.runtime_seconds:.2f}s")
-        result = minflotransit(
-            dag,
-            target,
-            MinfloOptions(kernel=args.kernel),
-            x0=seed.x,
-        )
+        result = minflotransit(dag, target, x0=seed.x)
     print(result.summary())
     print(f"area saved over TILOS: "
           f"{100 * (1 - result.area / seed.area):.2f}%")
@@ -158,13 +153,12 @@ def _print_phase_stats(seed, result) -> None:
     """Per-phase wall-time breakdown of one sizing run.
 
     Attributes a regression to the phase that caused it: the TILOS
-    seed (with its sensitivity-kernel split), incremental timing,
+    seed (with its scan/refresh split), incremental timing,
     delay balancing, the D-phase flow solve and the W-phase SMP
     relaxation.
     """
     tstats = seed.timing_stats
     seed_note = (
-        f"kernel {tstats.get('kernel', '?')}: "
         f"scan {tstats.get('scan_seconds', 0.0):.3f}s, "
         f"refresh {tstats.get('refresh_seconds', 0.0):.3f}s"
     )
@@ -178,8 +172,7 @@ def _print_phase_stats(seed, result) -> None:
         ["D-phase flow", f"{phases.get('d_phase', 0.0):.3f}",
          "min-cost-flow budget redistribution"],
         ["W-phase", f"{phases.get('w_phase', 0.0):.3f}",
-         f"{result.w_sweeps_total} SMP sweeps, kernel "
-         f"{result.iterations[-1].kernel if result.iterations else '?'}"],
+         f"{result.w_sweeps_total} SMP sweeps"],
     ]
     print(format_table(
         ["phase", "wall s", "notes"], rows,
@@ -192,7 +185,7 @@ def _print_iteration_stats(seed, result) -> None:
     tstats = seed.timing_stats
     if tstats:
         print(
-            f"TILOS timing ({tstats['engine']}): re-propagated "
+            f"TILOS timing: re-propagated "
             f"{tstats['repropagated_vertices']} vertices over "
             f"{tstats['updates']} bumps = "
             f"{100 * tstats['cone_fraction']:.1f}% of a full pass each"
@@ -757,13 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="gate")
     p_size.add_argument("--wires", action="store_true",
                         help="size wires simultaneously (section 2.1)")
-    p_size.add_argument("--kernel", choices=["vectorized", "scalar"],
-                        default="vectorized",
-                        help="sizing kernels for TILOS sensitivities and "
-                             "the W-phase relaxation: 'vectorized' "
-                             "(level-blocked array kernels, default) or "
-                             "'scalar' (reference loops; identical "
-                             "results)")
     p_size.add_argument("--flow-stats", action="store_true",
                         help="print per-engine flow-solver statistics")
     p_size.add_argument("--phase-stats", action="store_true",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -348,15 +347,14 @@ class WarmSession:
         return self._probe(query)
 
     def probe_wphase(
-        self, *, dag, tech, mode: str, engine: str, delay_spec: float,
-        budgets,
+        self, *, dag, tech, mode: str, delay_spec: float, budgets,
     ) -> dict | None:
         """Donor seed for a W-phase instance: ``{"x", "budgets",
         "dag_sha"}`` arrays ready for :func:`repro.sizing.wphase.w_phase`,
         or None."""
         query = self._build_query(
             "wphase", dag=dag, tech=tech, mode=mode,
-            options={"engine": engine}, delay_spec=delay_spec, target=None,
+            options={}, delay_spec=delay_spec, target=None,
         )
         record = self._probe(query)
         if record is None:

@@ -249,8 +249,7 @@ def _execute_sizing(
             if warm is not None:
                 with span("warmstart.seed", circuit=job.circuit) as ws:
                     seed = tilos_size(
-                        dag, target, topts, timer=timer,
-                        keep_trace=True, warm=donor,
+                        dag, target, topts, keep_trace=True, warm=donor,
                     )
                     ws.set(
                         result=(seed.warm or {}).get("result") or "cold",
@@ -259,7 +258,7 @@ def _execute_sizing(
                 warm.note_seed((seed.warm or {}).get("result"))
                 warm.stage_sizing(seed, d_min)
             else:
-                seed = tilos_size(dag, target, timer=timer)
+                seed = tilos_size(dag, target)
             seed_span.set(iterations=seed.iterations, feasible=seed.feasible)
         payload["seed"] = {
             "feasible": seed.feasible,
@@ -305,7 +304,7 @@ def _execute_phases(job: Job) -> tuple[str, dict]:
     timer = GraphTimer(dag)
     d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
     target = job.delay_spec * d_min
-    seed = tilos_size(dag, target, timer=timer)
+    seed = tilos_size(dag, target)
     x = seed.x if seed.feasible else dag.min_sizes() * 2
     delays = dag.delays(x)
     horizon = max(target, timer.analyze(delays).critical_path_delay)
@@ -391,7 +390,6 @@ def _wphase_payload(job: Job, circuit, dag, budgets, smp) -> tuple[str, dict]:
         "delay_spec": job.delay_spec,
         "feasible": feasible,
         "sweeps": int(smp.sweeps),
-        "engine": smp.engine,
         "clamped": [int(i) for i in smp.clamped],
         "area": float(dag.area(smp.x)),
         "worst_violation": float(np.max(delays - budgets)),
@@ -426,7 +424,6 @@ def _execute_wphase(
                 dag=dag,
                 tech=default_technology(),
                 mode=job.mode,
-                engine="vectorized",
                 delay_spec=job.delay_spec,
                 budgets=budgets,
             )
@@ -438,7 +435,7 @@ def _execute_wphase(
                 ws.set(result=result.warm or "cold")
         else:
             result = w_phase(dag, budgets)
-        smp_span.set(sweeps=int(result.sweeps), engine=result.engine)
+        smp_span.set(sweeps=int(result.sweeps))
     if warm is not None:
         warm.note_seed(result.warm)
         warm.stage_wphase(result, budgets)

@@ -12,7 +12,6 @@ from repro.sizing.dphase import (
     d_phase,
 )
 from repro.sizing.kernels import (
-    SMP_ENGINES,
     SmpPlan,
     TilosPlan,
     get_smp_plan,
@@ -28,7 +27,7 @@ from repro.sizing.minflo import MinfloOptions, minflotransit
 from repro.sizing.recovery import RecoveryResult, greedy_downsize
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.serialize import load_result, save_result
-from repro.sizing.smp import SmpResult, solve_smp
+from repro.sizing.smp import SmpResult
 from repro.sizing.tilos import TilosOptions, TilosResult, require_feasible, tilos_size
 from repro.sizing.wphase import WPhaseResult, w_phase
 
@@ -40,7 +39,6 @@ __all__ = [
     "LagrangianResult",
     "MinfloOptions",
     "RecoveryResult",
-    "SMP_ENGINES",
     "SizingResult",
     "SmpPlan",
     "SmpResult",
@@ -60,7 +58,6 @@ __all__ = [
     "minflotransit",
     "require_feasible",
     "save_result",
-    "solve_smp",
     "solve_smp_batched",
     "solve_smp_blocked",
     "tilos_size",

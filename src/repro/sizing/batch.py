@@ -272,7 +272,6 @@ def solve_smp_batched(
                     models[c], budget_arrays[c], sizes, uppers[c], tol
                 ),
                 sweeps=sweep,
-                engine="vectorized",
                 seconds=time.perf_counter() - start,
             )
         active[converged] = False

@@ -1,22 +1,18 @@
 """Vectorized sizing kernels: level-blocked SMP + array TILOS scoring.
 
-The two sizing phases that still ran scalar Python after the flow and
-timing engines were vectorized are the W-phase relaxation
-(:func:`repro.sizing.smp.solve_smp` — a per-vertex Gauss-Seidel loop
-with a CSR row dot product per vertex per sweep) and the TILOS
-sensitivity scan (:func:`repro.sizing.tilos.tilos_size` — per-candidate
-Python closures plus an ``(i, j) -> a_ij`` dict rebuilt on every call).
-This module turns both inner loops into precomputed array kernels; the
-scalar paths remain selectable (``engine="scalar"`` /
-``kernel="scalar"``) and the two implementations are parity-tested
-against each other (``tests/test_kernels.py``).
+Both sizing phases run on precomputed array plans cached per DAG: the
+W-phase relaxation (paper eq. (11)) and the TILOS sensitivity scan.
+The scalar forms of both — the per-vertex Gauss-Seidel loop and the
+per-candidate scan — are test oracles in ``tests/oracles/``, and
+``tests/test_kernels.py`` holds these kernels to them.
 
 **Level-blocked SMP.**  One relaxation sweep updates each vertex ``i``
 to ``clip(g^{-1}(headroom_i / load_i(x)))`` where ``load_i`` reads the
-sizes of the vertices in row ``i`` of the coupling matrix ``A``.  The
-scalar sweep visits vertices in ``sweep_order`` (reverse topological
-order); :func:`build_smp_plan` buckets that order into *levels* such
-that the blocked sweep reads exactly the values the scalar sweep reads:
+sizes of the vertices in row ``i`` of the coupling matrix ``A``.  A
+scalar Gauss-Seidel sweep visits vertices in ``sweep_order`` (reverse
+topological order); :func:`build_smp_plan` buckets that order into
+*levels* such that the blocked sweep reads exactly the values the
+scalar sweep reads:
 
 * if the scalar sweep reads an **updated** value (``a_ij != 0`` and
   ``j`` earlier in ``sweep_order``), then ``level(i) > level(j)`` — the
@@ -39,10 +35,9 @@ gate-mode DAGs and transistor-mode coupled blocks alike.
 **Array-based TILOS.**  :func:`get_tilos_plan` caches per DAG (the
 structure never changes across calls, but campaigns and warm-started
 sweeps used to rebuild it per ``tilos_size`` call): the transpose
-adjacency in CSR form (who reads a resized vertex), the coupling
+adjacency in CSR form (who reads a resized vertex) and the coupling
 coefficients as a sorted edge-key array for vectorized
-``a[pred, v]`` lookups along a critical path, and the legacy
-``(i, j) -> a_ij`` dict the scalar kernel consumes.  With the plan, a
+``a[pred, v]`` lookups along a critical path.  With the plan, a
 whole critical path scores in a handful of numpy expressions
 (:meth:`TilosPlan.score_path`) and the post-bump delay refresh over the
 disturbed vertices is one gathered segment sum
@@ -62,7 +57,6 @@ from repro.errors import SizingError
 from repro.sizing.smp import SmpResult, find_clamped, smp_headroom
 
 __all__ = [
-    "SMP_ENGINES",
     "SmpPlan",
     "TilosPlan",
     "build_smp_plan",
@@ -71,9 +65,6 @@ __all__ = [
     "get_tilos_plan",
     "solve_smp_blocked",
 ]
-
-#: Selectable W-phase relaxation engines (vectorized is the default).
-SMP_ENGINES = ("vectorized", "scalar")
 
 
 def _gathered_loads(
@@ -217,14 +208,13 @@ def solve_smp_blocked(
     tol: float = 1e-10,
     x0: np.ndarray | None = None,
 ) -> SmpResult:
-    """Level-blocked relaxation: the vectorized twin of ``solve_smp``.
+    """Level-blocked Gauss-Seidel relaxation of the W-phase SMP.
 
-    Runs the same Gauss-Seidel recurrence as the scalar solver but
-    relaxes whole levels per step — a sliced CSR matvec for the loads,
+    Relaxes whole levels per step — a sliced CSR matvec for the loads,
     one array ``g_inverse`` and clip for the update.  Produces the same
-    iterates as the scalar sweep (see the module docstring for the
-    read-order argument), so results agree to float reassociation
-    noise and the sweep count is identical.
+    iterates as a per-vertex scalar sweep (see the module docstring for
+    the read-order argument), so results agree with the scalar oracle
+    to float reassociation noise and the sweep count is identical.
 
     ``x0`` optionally replaces ``lower`` as the starting point; the
     relaxation only moves sizes up, so the least fixed point is reached
@@ -268,7 +258,6 @@ def solve_smp_blocked(
                 x=x,
                 clamped=clamped,
                 sweeps=sweep,
-                engine="vectorized",
                 seconds=time.perf_counter() - start,
             )
     raise SizingError(
@@ -283,11 +272,9 @@ def solve_smp_blocked(
 class TilosPlan:
     """Cached TILOS coupling structure for one DAG.
 
-    Everything ``tilos_size`` used to rebuild per call: the transpose
-    adjacency (who must have its delay refreshed when a vertex is
-    resized), the coupling coefficients as a sorted edge-key array for
-    vectorized point lookups, and the scalar kernel's
-    ``(i, j) -> a_ij`` dict.
+    The transpose adjacency (who must have its delay refreshed when a
+    vertex is resized) and the coupling coefficients as a sorted
+    edge-key array for vectorized point lookups.
     """
 
     n: int
@@ -299,8 +286,6 @@ class TilosPlan:
     #: :meth:`coupling_at` binary searches.
     edge_keys: np.ndarray
     edge_values: np.ndarray
-    #: The scalar kernel's lookup dict (kept for the fallback path).
-    coupling: dict[tuple[int, int], float]
 
     def dependents(self, vertex: int) -> np.ndarray:
         """Vertices whose delay reads ``vertex``'s size (``a_uv != 0``)."""
@@ -327,13 +312,12 @@ class TilosPlan:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sensitivities of bumping each eligible critical-path vertex.
 
-        Vectorized version of the scalar candidate loop: one gathered
-        load computation for the whole path, one coupling lookup for
-        the consecutive (predecessor, vertex) pairs, one array of
-        sensitivities.  Returns ``(sensitivities, vertices)`` sorted
-        the way the scalar kernel sorts its candidate list —
-        descending sensitivity, ties broken toward the larger vertex
-        id — so both kernels pick identical bump sequences.
+        One gathered load computation for the whole path, one coupling
+        lookup for the consecutive (predecessor, vertex) pairs, one
+        array of sensitivities.  Returns ``(sensitivities, vertices)``
+        sorted by descending sensitivity, ties broken toward the larger
+        vertex id — the order the scalar oracle's sorted candidate list
+        has, so both pick identical bump sequences.
         """
         model = dag.model
         law = model.law
@@ -369,8 +353,7 @@ class TilosPlan:
     ) -> None:
         """Recompute ``delays[changed]`` in place after a resize.
 
-        The vectorized form of the scalar kernel's per-vertex
-        ``delays[u] = vertex_delay(u)`` refresh loop.
+        One gathered segment sum over the changed vertices' loads.
         """
         a = model.a_matrix
         loads = _gathered_loads(
@@ -389,26 +372,20 @@ def build_tilos_plan(dag) -> TilosPlan:
     coo = model.a_matrix.tocoo()
     keys = coo.row.astype(np.int64) * n + coo.col
     order = np.argsort(keys)
-    coupling = {
-        (int(i), int(j)): float(value)
-        for i, j, value in zip(coo.row, coo.col, coo.data)
-    }
     return TilosPlan(
         n=n,
         t_indptr=transpose.indptr,
         t_indices=transpose.indices,
         edge_keys=keys[order],
         edge_values=coo.data[order].astype(float),
-        coupling=coupling,
     )
 
 
 def get_tilos_plan(dag) -> TilosPlan:
     """The cached :class:`TilosPlan` of ``dag`` (built on first use).
 
-    Replaces the per-call ``O(|E|)`` dict rebuild the scalar
-    implementation paid on every ``tilos_size`` invocation — campaigns
-    and warm-started sweeps now pay the extraction once per DAG.
+    Campaigns and warm-started sweeps pay the extraction once per DAG,
+    not once per ``tilos_size`` call.
     """
     plan = dag.kernel_cache.get("tilos_plan")
     if plan is None:

@@ -26,9 +26,8 @@ actually changes (both are exact — they never alter the iterates):
   previous solve's basis (potentials + flow) seeds the next one, so
   only the supply drift is re-routed.
 
-Within each iteration the W-phase runs on the vectorized level-blocked
-kernel by default (``MinfloOptions.kernel``; see
-:mod:`repro.sizing.kernels` — identical iterates to the scalar loop).
+Within each iteration the W-phase runs on the level-blocked kernel of
+:mod:`repro.sizing.kernels`.
 
 Per-iteration telemetry (cone size, warm-start reuse, augmentations,
 SMP sweep counts) lands in each
@@ -51,7 +50,6 @@ from repro.dag.circuit_dag import SizingDag
 from repro.errors import InfeasibleTimingError, SizingError
 from repro.obs.trace import span
 from repro.sizing.dphase import d_phase
-from repro.sizing.kernels import SMP_ENGINES
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.tilos import TilosOptions, tilos_size
 from repro.sizing.wphase import w_phase
@@ -93,10 +91,6 @@ class MinfloOptions:
     max_iterations: int = 60
     #: Delay-balancing configuration fed to the D-phase.
     balancing: str = "asap"
-    #: W-phase relaxation engine: "vectorized" (level-blocked kernel,
-    #: :mod:`repro.sizing.kernels`) or "scalar" (per-vertex reference
-    #: loop).  Identical iterates; the kernel is just faster.
-    kernel: str = "vectorized"
     tilos: TilosOptions = TilosOptions()
     #: Warm-start corpus to probe for the TILOS seed: a cache backend
     #: spec (``disk:…`` / ``sqlite:…`` / ``tiered:…``) or directory
@@ -112,11 +106,6 @@ class MinfloOptions:
             )
         if self.max_iterations < 1:
             raise SizingError("max_iterations must be positive")
-        if self.kernel not in SMP_ENGINES:
-            raise SizingError(
-                f"unknown sizing kernel {self.kernel!r}; "
-                f"pick from {SMP_ENGINES}"
-            )
 
 
 def minflotransit(
@@ -161,7 +150,7 @@ def minflotransit(
                         target=target,
                     )
                     probe.set(hit=warm is not None)
-        seed = tilos_size(dag, target, options.tilos, timer=timer, warm=warm)
+        seed = tilos_size(dag, target, options.tilos, warm=warm)
         if not seed.feasible:
             raise InfeasibleTimingError(
                 f"target {target:.6g} unreachable: TILOS stalled at "
@@ -234,8 +223,8 @@ def minflotransit(
         budgets = delays + dres.delta_d
 
         with span("minflo.w_phase", iteration=iteration) as w_span:
-            wres = w_phase(dag, budgets, engine=options.kernel)
-            w_span.set(sweeps=int(wres.sweeps), engine=wres.engine)
+            wres = w_phase(dag, budgets)
+            w_span.set(sweeps=int(wres.sweeps))
         phase_seconds["w_phase"] += w_span.duration_s
 
         with span("minflo.timing", iteration=iteration) as resync_span:
@@ -269,7 +258,6 @@ def minflotransit(
                 augmentations=int(getattr(fstats, "augmentations", 0)),
                 supply_routed=float(getattr(fstats, "supply_routed", 0.0)),
                 w_sweeps=wres.sweeps,
-                kernel=wres.engine,
             )
         )
 

@@ -39,9 +39,6 @@ class IterationRecord:
     supply_routed: float = 0.0
     #: SMP relaxation sweeps the W-phase took this iteration.
     w_sweeps: int = 0
-    #: W-phase relaxation engine ("vectorized" level-blocked kernel or
-    #: the "scalar" reference loop); "" on records predating the field.
-    kernel: str = ""
 
 
 @dataclass
@@ -59,9 +56,8 @@ class SizingResult:
     initial_area: float
     iterations: list[IterationRecord] = field(default_factory=list)
     #: Cumulative wall time per phase across all iterations (keys:
-    #: ``timing``, ``balance``, ``d_phase``, ``w_phase``); empty on
-    #: results predating the field.  ``python -m repro size
-    #: --phase-stats`` renders this breakdown.
+    #: ``timing``, ``balance``, ``d_phase``, ``w_phase``).
+    #: ``python -m repro size --phase-stats`` renders this breakdown.
     phase_seconds: dict = field(default_factory=dict)
 
     @property

@@ -37,8 +37,10 @@ __all__ = [
 #: Version of the persisted result schema.  Bump whenever the payload
 #: layout (or the meaning of a field) changes; loaders refuse other
 #: versions and cached campaign results keyed on an old version simply
-#: re-run.  Version 2 added the explicit ``schema_version`` field.
-SCHEMA_VERSION = 2
+#: re-run.  Version 2 added the explicit ``schema_version`` field;
+#: version 3 dropped the per-iteration ``kernel`` key and made every
+#: field required.
+SCHEMA_VERSION = 3
 
 _SCHEMA_FAMILY = "repro.sizing-result"
 _SCHEMA = f"{_SCHEMA_FAMILY}/{SCHEMA_VERSION}"
@@ -118,10 +120,6 @@ def result_to_dict(result: SizingResult, dag: SizingDag | None = None) -> dict:
         "converged": result.converged,
         "runtime_seconds": result.runtime_seconds,
         "initial_area": result.initial_area,
-        # Additive since the original v2 layout: loaders treat the
-        # per-phase wall-time map (and the per-iteration kernel
-        # counters below) as optional, so older v2 documents and
-        # cached campaign payloads still load.
         "phase_seconds": result.phase_seconds,
         "iterations": [
             {
@@ -138,7 +136,6 @@ def result_to_dict(result: SizingResult, dag: SizingDag | None = None) -> dict:
                 "augmentations": rec.augmentations,
                 "supply_routed": rec.supply_routed,
                 "w_sweeps": rec.w_sweeps,
-                "kernel": rec.kernel,
             }
             for rec in result.iterations
         ],
@@ -170,7 +167,12 @@ def payload_schema_version(payload: dict) -> int | None:
 
 
 def result_from_dict(payload: dict) -> SizingResult:
-    """Rebuild a :class:`SizingResult`; rejects unknown schema versions."""
+    """Rebuild a :class:`SizingResult`.
+
+    Raises :class:`SizingError` on any schema version other than
+    :data:`SCHEMA_VERSION` and on a current-version document that lacks
+    a field.
+    """
     version = payload_schema_version(payload)
     if version != SCHEMA_VERSION:
         raise SizingError(
@@ -178,6 +180,16 @@ def result_from_dict(payload: dict) -> SizingResult:
             f"(schema {payload.get('schema')!r}; this build reads only "
             f"version {SCHEMA_VERSION})"
         )
+    try:
+        return _result_from_fields(payload)
+    except KeyError as exc:
+        raise SizingError(
+            f"sizing-result document (schema version {SCHEMA_VERSION}) "
+            f"lacks field {exc.args[0]!r}"
+        ) from None
+
+
+def _result_from_fields(payload: dict) -> SizingResult:
     return SizingResult(
         name=payload["name"],
         mode=payload["mode"],
@@ -188,8 +200,7 @@ def result_from_dict(payload: dict) -> SizingResult:
         converged=bool(payload["converged"]),
         runtime_seconds=float(payload["runtime_seconds"]),
         initial_area=float(payload["initial_area"]),
-        # Optional since mid-v2 (older documents simply lack it).
-        phase_seconds=dict(payload.get("phase_seconds", {})),
+        phase_seconds=dict(payload["phase_seconds"]),
         iterations=[
             IterationRecord(
                 iteration=rec["iteration"],
@@ -199,14 +210,12 @@ def result_from_dict(payload: dict) -> SizingResult:
                 alpha=rec["alpha"],
                 accepted=rec["accepted"],
                 backend=rec["backend"],
-                # Telemetry fields postdate schema v1 documents.
-                repropagated_vertices=rec.get("repropagated_vertices", 0),
-                cone_fraction=rec.get("cone_fraction", 1.0),
-                warm_start=rec.get("warm_start", False),
-                augmentations=rec.get("augmentations", 0),
-                supply_routed=rec.get("supply_routed", 0.0),
-                w_sweeps=rec.get("w_sweeps", 0),
-                kernel=rec.get("kernel", ""),
+                repropagated_vertices=rec["repropagated_vertices"],
+                cone_fraction=rec["cone_fraction"],
+                warm_start=rec["warm_start"],
+                augmentations=rec["augmentations"],
+                supply_routed=rec["supply_routed"],
+                w_sweeps=rec["w_sweeps"],
             )
             for rec in payload["iterations"]
         ],

@@ -1,20 +1,14 @@
 """W-phase: minimum-area sizes for fixed delay budgets (paper eq. (11)).
 
-Thin orchestration over the SMP solvers: derives the sweep order from
-the DAG (reverse topological order, which makes the relaxation a single
-backward-substitution pass for gate sizing, per the paper's section
-2.3), dispatches to the selected relaxation engine and verifies the
-resulting delays against the budgets.
-
-Two engines produce identical iterates (parity-tested in
-``tests/test_kernels.py``):
-
-* ``engine="vectorized"`` (default) — the level-blocked kernel of
-  :mod:`repro.sizing.kernels`, relaxing whole dependency levels with
-  sliced CSR matvecs; the level plan is cached on the DAG so repeated
-  W-phases (one per MINFLOTRANSIT iteration) pay the analysis once.
-* ``engine="scalar"`` — the per-vertex Gauss-Seidel reference loop of
-  :mod:`repro.sizing.smp`.
+Thin orchestration over the SMP relaxation: runs the level-blocked
+kernel of :mod:`repro.sizing.kernels` in reverse topological order
+(a single backward-substitution pass for gate sizing, per the paper's
+section 2.3) and verifies the resulting delays against the budgets.
+The kernel relaxes whole dependency levels with sliced CSR matvecs; its
+level plan is cached on the DAG, so repeated W-phases (one per
+MINFLOTRANSIT iteration) pay the analysis once.  The per-vertex
+Gauss-Seidel loop it reproduces is the test oracle in
+``tests/oracles/smp.py``.
 """
 
 from __future__ import annotations
@@ -26,14 +20,14 @@ import numpy as np
 from repro.dag.circuit_dag import SizingDag
 from repro.errors import SizingError
 from repro.sizing.fingerprint import dag_digest
-from repro.sizing.kernels import SMP_ENGINES, get_smp_plan, solve_smp_blocked
-from repro.sizing.smp import SmpResult, smp_headroom, solve_smp
+from repro.sizing.kernels import get_smp_plan, solve_smp_blocked
+from repro.sizing.smp import SmpResult, smp_headroom
 
 __all__ = ["WPhaseResult", "w_phase"]
 
-#: The SMP solvers' default convergence threshold factor (see
-#: ``solve_smp``/``solve_smp_blocked``): needed here to derive the
-#: cold-equivalent sweep count of a seeded solve.
+#: The SMP relaxation's default convergence threshold factor (see
+#: ``solve_smp_blocked``): needed here to derive the cold-equivalent
+#: sweep count of a seeded solve.
 _SMP_TOL = 1e-10
 
 
@@ -46,8 +40,6 @@ class WPhaseResult:
     budgets: np.ndarray
     clamped: list[int]
     sweeps: int
-    #: Relaxation engine that produced the solution.
-    engine: str = "scalar"
     #: Wall time of the relaxation itself (excludes the delay check).
     seconds: float = 0.0
     #: Warm-start status when a donor seed was offered ("seeded", or
@@ -70,25 +62,14 @@ def _solve(
     dag: SizingDag,
     budgets: np.ndarray,
     max_sweeps: int,
-    engine: str,
     x0: np.ndarray | None,
 ) -> SmpResult:
-    if engine == "vectorized":
-        return solve_smp_blocked(
-            model=dag.model,
-            budgets=budgets,
-            lower=dag.lower,
-            upper=dag.upper,
-            plan=get_smp_plan(dag),
-            max_sweeps=max_sweeps,
-            x0=x0,
-        )
-    return solve_smp(
+    return solve_smp_blocked(
         model=dag.model,
         budgets=budgets,
         lower=dag.lower,
         upper=dag.upper,
-        sweep_order=dag.topo_order[::-1],
+        plan=get_smp_plan(dag),
         max_sweeps=max_sweeps,
         x0=x0,
     )
@@ -158,14 +139,9 @@ def w_phase(
     dag: SizingDag,
     budgets: np.ndarray,
     max_sweeps: int = 200,
-    engine: str = "vectorized",
     warm: dict | None = None,
 ) -> WPhaseResult:
     """Solve the W-phase SMP for ``dag`` under per-vertex ``budgets``.
-
-    ``engine`` picks the relaxation implementation (``"vectorized"``
-    level-blocked kernel by default, ``"scalar"`` reference loop); both
-    produce the same least fixed point, clamped set and sweep count.
 
     ``warm`` optionally carries a corpus seed — ``{"x", "budgets",
     "dag_sha"}`` from :mod:`repro.runner.corpus` — used as the
@@ -176,21 +152,8 @@ def w_phase(
     mismatch, so the returned sizes are identical to a cold solve in
     all cases; only the sweep count may shrink.
     """
-    if engine not in SMP_ENGINES:
-        raise SizingError(
-            f"unknown W-phase engine {engine!r}; pick from {SMP_ENGINES}"
-        )
     x0: np.ndarray | None = None
     warm_status: str | None = None
-    if warm is not None:
-        # The exactness monitor recomputes the fixed point with the
-        # level-blocked matvecs, which certify the vectorized engine's
-        # iterate bitwise; the scalar loop's summation order differs in
-        # the last ulp, so a seeded scalar solve would always fail the
-        # monitor and re-solve cold — skip the wasted work up front.
-        if engine != "vectorized":
-            warm_status = "no exactness certificate for scalar engine"
-            warm = None
     if warm is not None:
         reason = _warm_gate(dag, budgets, warm)
         if reason is None:
@@ -202,7 +165,7 @@ def w_phase(
     sweeps: int | None = None
     if x0 is not None:
         try:
-            seeded = _solve(dag, budgets, max_sweeps, engine, x0)
+            seeded = _solve(dag, budgets, max_sweeps, x0)
             if _seed_exact(dag, budgets, seeded.x):
                 result = seeded
                 # A seeded run can converge in fewer sweeps than a
@@ -222,7 +185,7 @@ def w_phase(
         except SizingError:
             warm_status = "seeded relaxation failed"
     if result is None:
-        result = _solve(dag, budgets, max_sweeps, engine, None)
+        result = _solve(dag, budgets, max_sweeps, None)
         sweeps = result.sweeps
     delays = dag.model.delays(result.x)
     return WPhaseResult(
@@ -231,7 +194,6 @@ def w_phase(
         budgets=np.asarray(budgets, dtype=float),
         clamped=result.clamped,
         sweeps=sweeps,
-        engine=result.engine,
         seconds=result.seconds,
         warm=warm_status,
     )

@@ -7,7 +7,6 @@ from repro.timing.paths import (
     path_delay,
 )
 from repro.timing.incremental import (
-    IncrementalArrivalTimes,
     IncrementalTimer,
     UpdateStats,
 )
@@ -20,7 +19,6 @@ from repro.timing.sta import (
 
 __all__ = [
     "GraphTimer",
-    "IncrementalArrivalTimes",
     "IncrementalTimer",
     "TimingReport",
     "UpdateStats",

@@ -56,7 +56,6 @@ from repro.errors import TimingError
 from repro.timing.sta import TimingReport, trace_critical_path
 
 __all__ = [
-    "IncrementalArrivalTimes",
     "IncrementalTimer",
     "SCALAR_SEED_LIMIT",
     "UpdateStats",
@@ -477,8 +476,3 @@ class IncrementalTimer:
                 dirty[fresh] = True
                 pending += int(fresh.size)
         return recomputed, moved_count
-
-
-#: Backward-compatible name for the engine (it originally maintained
-#: arrival times only; it now also keeps required times).
-IncrementalArrivalTimes = IncrementalTimer

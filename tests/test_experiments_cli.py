@@ -18,6 +18,33 @@ from repro.experiments.table1 import Table1Row
 from repro.generators.iscas import SUITE
 
 
+def _size_c17_then(report: str) -> str:
+    """Run ``python -m repro size c17`` in a fresh interpreter (with
+    ``src/`` and ``tests/`` importable), then the ``report`` code;
+    returns stdout after checking the sizing run succeeded."""
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir),
+         env.get("PYTHONPATH", "")]
+    )
+    probe = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'size', 'c17']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    ) + report
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "converged" in out.stdout
+    return out.stdout
+
+
 class TestTable1Harness:
     def test_select_specs_tiers(self):
         smoke = select_specs("smoke")
@@ -158,37 +185,46 @@ class TestCli:
             assert "positive fraction" in capsys.readouterr().err
 
     def test_bad_backend_exit_code(self, capsys):
-        """The retired ``--flow-backend`` flag is a usage error."""
+        """The retired ``--flow-backend`` and ``--kernel`` flags are
+        usage errors."""
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit) as exc:
-            main(["size", "c17", "--spec", "0.6", "--flow-backend", "ssp"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --flow-backend" in (
-            capsys.readouterr().err
-        )
+        for flag, value in (("--flow-backend", "ssp"), ("--kernel", "scalar")):
+            with pytest.raises(SystemExit) as exc:
+                main(["size", "c17", "--spec", "0.6", flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in (
+                capsys.readouterr().err
+            )
 
     @pytest.mark.slow
     def test_size_never_imports_networkx(self):
         """``python -m repro size`` runs without loading networkx."""
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        probe = (
-            "import runpy, sys\n"
-            "sys.argv = ['repro', 'size', 'c17']\n"
-            "try:\n"
-            "    runpy.run_module('repro', run_name='__main__')\n"
-            "finally:\n"
-            "    print('networkx loaded:', 'networkx' in sys.modules)\n"
+        out = _size_c17_then(
+            "print('networkx loaded:', 'networkx' in sys.modules)\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env, capture_output=True, text=True, timeout=120,
+        assert "networkx loaded: False" in out
+
+    @pytest.mark.slow
+    def test_size_never_imports_oracles(self):
+        """``python -m repro size`` loads nothing from ``tests/oracles``
+        even with it importable, and ``repro.sizing`` exports no scalar
+        SMP solver."""
+        oracles = Path(__file__).resolve().parent / "oracles"
+        out = _size_c17_then(
+            "import repro.sizing\n"
+            "loaded = sorted(\n"
+            "    name for name, module in list(sys.modules.items())\n"
+            "    if name.split('.')[0] == 'oracles'\n"
+            f"    or {str(oracles)!r} in str(getattr(module, '__file__', ''))\n"
+            ")\n"
+            "print('oracle modules:', loaded)\n"
+            "print('solve_smp exported:',\n"
+            "      hasattr(repro.sizing, 'solve_smp')\n"
+            "      or 'solve_smp' in repro.sizing.__all__)\n"
         )
-        assert out.returncode == 0, out.stderr
-        assert "converged" in out.stdout
-        assert "networkx loaded: False" in out.stdout
+        assert "oracle modules: []" in out
+        assert "solve_smp exported: False" in out
 
     def test_suite_json(self, capsys):
         import json

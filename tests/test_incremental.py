@@ -2,14 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles import tilos as tilos_oracle
 
 from repro.sizing import TilosOptions, tilos_size
 from repro.timing import GraphTimer, analyze
-from repro.timing.incremental import (
-    SCALAR_SEED_LIMIT,
-    IncrementalArrivalTimes,
-    IncrementalTimer,
-)
+from repro.timing.incremental import SCALAR_SEED_LIMIT, IncrementalTimer
 
 
 def assert_matches_full(inc, timer, delay, horizon=None):
@@ -36,7 +33,7 @@ class TestIncrementalEngine:
     def test_initial_state_matches_full(self, adder8_dag):
         rng = np.random.default_rng(20)
         delay = rng.uniform(0.5, 4.0, size=adder8_dag.n)
-        inc = IncrementalArrivalTimes(adder8_dag, delay)
+        inc = IncrementalTimer(adder8_dag, delay)
         full = GraphTimer(adder8_dag).analyze(delay)
         assert inc.at == pytest.approx(full.at)
         assert inc.critical_path_delay == pytest.approx(
@@ -46,7 +43,7 @@ class TestIncrementalEngine:
     def test_random_update_sequences_match_full(self, adder8_dag):
         rng = np.random.default_rng(21)
         delay = rng.uniform(0.5, 4.0, size=adder8_dag.n)
-        inc = IncrementalArrivalTimes(adder8_dag, delay)
+        inc = IncrementalTimer(adder8_dag, delay)
         timer = GraphTimer(adder8_dag)
         for _ in range(60):
             k = int(rng.integers(1, 4))
@@ -63,7 +60,7 @@ class TestIncrementalEngine:
     def test_decreasing_delays_propagate(self, c17_gate_dag):
         """Arrival times must also *fall* when a delay shrinks."""
         delay = np.full(c17_gate_dag.n, 5.0)
-        inc = IncrementalArrivalTimes(c17_gate_dag, delay)
+        inc = IncrementalTimer(c17_gate_dag, delay)
         before = inc.critical_path_delay
         path = inc.critical_path()
         delay = delay.copy()
@@ -78,7 +75,7 @@ class TestIncrementalEngine:
     def test_critical_path_valid(self, adder8_dag):
         rng = np.random.default_rng(22)
         delay = rng.uniform(0.5, 4.0, size=adder8_dag.n)
-        inc = IncrementalArrivalTimes(adder8_dag, delay)
+        inc = IncrementalTimer(adder8_dag, delay)
         path = inc.critical_path()
         total = sum(delay[v] for v in path)
         assert total == pytest.approx(inc.critical_path_delay)
@@ -162,13 +159,16 @@ class TestRequiredTimes:
 
 
 class TestTilosEngines:
+    """The incremental TILOS loop against the oracle that re-times the
+    whole circuit after every bump."""
+
     @pytest.mark.parametrize("circuit_fixture", ["c17_gate_dag", "adder8_dag"])
     def test_engines_identical(self, request, circuit_fixture):
         dag = request.getfixturevalue(circuit_fixture)
         d_min = analyze(dag, dag.min_sizes()).critical_path_delay
         target = 0.55 * d_min
-        full = tilos_size(dag, target, TilosOptions(engine="full"))
-        fast = tilos_size(dag, target, TilosOptions(engine="incremental"))
+        full = tilos_oracle.tilos_size(dag, target, full_retime=True)
+        fast = tilos_size(dag, target)
         assert full.feasible == fast.feasible
         assert fast.iterations == full.iterations
         assert fast.x == pytest.approx(full.x)
@@ -178,12 +178,16 @@ class TestTilosEngines:
         dag = c17_transistor_dag
         d_min = analyze(dag, dag.min_sizes()).critical_path_delay
         target = 0.6 * d_min
-        full = tilos_size(dag, target, TilosOptions(engine="full"))
-        fast = tilos_size(dag, target, TilosOptions(engine="incremental"))
+        full = tilos_oracle.tilos_size(dag, target, full_retime=True)
+        fast = tilos_size(dag, target)
         assert fast.x == pytest.approx(full.x)
 
-    def test_engine_validation(self):
-        from repro.errors import SizingError
+    def test_engine_validation(self, c17_gate_dag):
+        """The timing engine is not selectable: ``TilosOptions.engine``
+        and the ``timer`` argument only the full engine read are gone."""
+        from repro.timing import GraphTimer
 
-        with pytest.raises(SizingError, match="engine"):
-            TilosOptions(engine="warp")
+        with pytest.raises(TypeError, match="engine"):
+            TilosOptions(engine="full")
+        with pytest.raises(TypeError, match="timer"):
+            tilos_size(c17_gate_dag, 1.0, timer=GraphTimer(c17_gate_dag))

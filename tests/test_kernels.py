@@ -1,16 +1,22 @@
-"""Parity tests: vectorized sizing kernels vs the scalar references.
+"""Parity tests: the vectorized sizing kernels vs the scalar oracles.
 
 The contract of :mod:`repro.sizing.kernels` is *exactness*: the
 level-blocked SMP relaxation must reproduce the scalar Gauss-Seidel
-sweep (same fixed point, same clamped set, same sweep count) and the
-array TILOS kernel must reproduce the scalar candidate loop's bump
-sequence exactly.  Randomized instances over gate- and transistor-mode
-circuits keep both claims honest.
+sweep of :mod:`oracles.smp` (same fixed point, same clamped set, same
+sweep count) and the array TILOS kernel must reproduce the bump
+sequence of :mod:`oracles.tilos`'s per-candidate loop exactly.
+Randomized instances over gate- and transistor-mode circuits keep both
+claims honest.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from oracles import smp as smp_oracle
+from oracles import tilos as tilos_oracle
 
+import repro.sizing
 from repro.dag import build_sizing_dag
 from repro.errors import SizingError
 from repro.generators.random_logic import random_logic
@@ -18,7 +24,6 @@ from repro.sizing import (
     MinfloOptions,
     TilosOptions,
     minflotransit,
-    solve_smp,
     tilos_size,
     w_phase,
 )
@@ -26,7 +31,6 @@ from repro.sizing.kernels import (
     build_smp_plan,
     get_smp_plan,
     get_tilos_plan,
-    solve_smp_blocked,
 )
 from repro.sizing.serialize import result_from_dict, result_to_dict
 from repro.tech import default_technology
@@ -61,25 +65,23 @@ class TestSmpParity:
                 dag.lower, np.minimum(dag.upper, dag.lower * 8)
             )
             budgets = dag.delays(x_ref)
-            scalar = w_phase(dag, budgets, engine="scalar")
-            vectorized = w_phase(dag, budgets, engine="vectorized")
+            scalar = smp_oracle.w_phase(dag, budgets)
+            vectorized = w_phase(dag, budgets)
             scale = float(np.max(np.abs(scalar.x)))
             assert np.allclose(
                 scalar.x, vectorized.x, rtol=0, atol=1e-10 * scale
             )
             assert scalar.clamped == vectorized.clamped
             assert scalar.sweeps == vectorized.sweeps
-            assert scalar.engine == "scalar"
-            assert vectorized.engine == "vectorized"
 
     def test_clamped_instance_matches(self, c17_gate_dag):
-        """Infeasible budgets clamp the same vertices in both engines."""
+        """Infeasible budgets clamp the same vertices as the oracle."""
         dag = c17_gate_dag
         budgets = dag.delays(dag.min_sizes())
         victim = int(np.argmax(dag.model.b))
         budgets[victim] = dag.model.intrinsic[victim] + 1e-3
-        scalar = w_phase(dag, budgets, engine="scalar")
-        vectorized = w_phase(dag, budgets, engine="vectorized")
+        scalar = smp_oracle.w_phase(dag, budgets)
+        vectorized = w_phase(dag, budgets)
         assert not vectorized.feasible
         assert scalar.clamped == vectorized.clamped
         assert scalar.sweeps == vectorized.sweeps
@@ -88,35 +90,19 @@ class TestSmpParity:
         dag = c17_gate_dag
         budgets = dag.delays(dag.min_sizes())
         budgets[0] = dag.model.intrinsic[0] * 0.5
-        for engine in ("scalar", "vectorized"):
+        for solve in (smp_oracle.w_phase, w_phase):
             with pytest.raises(SizingError, match="intrinsic"):
-                w_phase(dag, budgets, engine=engine)
+                solve(dag, budgets)
 
     def test_unknown_engine_rejected(self, c17_gate_dag):
+        """``w_phase`` has no engine selector any more: the retired
+        keyword is an error, not a silently ignored option."""
         dag = c17_gate_dag
         budgets = dag.delays(dag.min_sizes() * 2)
-        with pytest.raises(SizingError, match="engine"):
-            w_phase(dag, budgets, engine="simd")
-        with pytest.raises(SizingError, match="engine"):
-            solve_smp(
-                dag.model, budgets, dag.lower, dag.upper,
-                dag.topo_order[::-1], engine="simd",
-            )
-
-    def test_solve_smp_dispatch(self, adder8_dag):
-        """``solve_smp(engine='vectorized')`` equals the blocked solver."""
-        dag = adder8_dag
-        budgets = dag.delays(dag.min_sizes() * 2.5)
-        via_dispatch = solve_smp(
-            dag.model, budgets, dag.lower, dag.upper,
-            dag.topo_order[::-1], engine="vectorized",
-        )
-        direct = solve_smp_blocked(
-            dag.model, budgets, dag.lower, dag.upper, get_smp_plan(dag)
-        )
-        assert via_dispatch.engine == "vectorized"
-        assert np.array_equal(via_dispatch.x, direct.x)
-        assert via_dispatch.sweeps == direct.sweeps
+        for engine in ("scalar", "vectorized"):
+            with pytest.raises(TypeError, match="engine"):
+                w_phase(dag, budgets, engine=engine)
+        assert not hasattr(repro.sizing, "solve_smp")
 
 
 class TestSmpPlan:
@@ -163,17 +149,12 @@ class TestSmpPlan:
 class TestTilosParity:
     @pytest.mark.parametrize("ratio", [0.8, 0.6])
     def test_identical_bump_sequence(self, request, ratio):
-        """Both kernels bump the same vertices in the same order."""
+        """The kernel bumps the oracle's vertices in the same order."""
         for dag in _dags(request):
             dmin = analyze(dag, dag.min_sizes()).critical_path_delay
             target = ratio * dmin
-            scalar = tilos_size(
-                dag, target, TilosOptions(kernel="scalar"), keep_trace=True
-            )
-            vectorized = tilos_size(
-                dag, target, TilosOptions(kernel="vectorized"),
-                keep_trace=True,
-            )
+            scalar = tilos_oracle.tilos_size(dag, target, keep_trace=True)
+            vectorized = tilos_size(dag, target, keep_trace=True)
             assert scalar.iterations == vectorized.iterations
             assert scalar.feasible == vectorized.feasible
             scale = float(np.max(np.abs(scalar.x)))
@@ -188,11 +169,10 @@ class TestTilosParity:
     def test_batch_mode_parity(self, adder8_dag):
         dag = adder8_dag
         dmin = analyze(dag, dag.min_sizes()).critical_path_delay
+        options = TilosOptions(batch=4)
         runs = {
-            kernel: tilos_size(
-                dag, 0.6 * dmin, TilosOptions(kernel=kernel, batch=4)
-            )
-            for kernel in ("scalar", "vectorized")
+            "scalar": tilos_oracle.tilos_size(dag, 0.6 * dmin, options),
+            "vectorized": tilos_size(dag, 0.6 * dmin, options),
         }
         assert runs["scalar"].iterations == runs["vectorized"].iterations
         assert np.allclose(
@@ -200,16 +180,24 @@ class TestTilosParity:
         )
 
     def test_kernel_recorded_in_timing_stats(self, c17_gate_dag):
+        """The kernel's scan/refresh wall-time split is recorded."""
         dag = c17_gate_dag
         dmin = analyze(dag, dag.min_sizes()).critical_path_delay
         result = tilos_size(dag, 0.8 * dmin)
-        assert result.timing_stats["kernel"] == "vectorized"
         assert result.timing_stats["scan_seconds"] >= 0.0
         assert result.timing_stats["refresh_seconds"] >= 0.0
+        assert "kernel" not in result.timing_stats
+        assert "engine" not in result.timing_stats
 
     def test_kernel_validation(self):
-        with pytest.raises(SizingError, match="kernel"):
-            TilosOptions(kernel="gpu")
+        """TILOS keeps exactly its algorithmic knobs; the retired
+        kernel selector is rejected."""
+        assert [f.name for f in fields(TilosOptions)] == [
+            "bump", "max_iterations", "batch"
+        ]
+        for kernel in ("scalar", "vectorized"):
+            with pytest.raises(TypeError, match="kernel"):
+                TilosOptions(kernel=kernel)
 
 
 class TestTilosPlan:
@@ -220,7 +208,7 @@ class TestTilosPlan:
         for dag in _dags(request):
             plan = get_tilos_plan(dag)
             coo = dag.model.a_matrix.tocoo()
-            assert len(plan.coupling) == coo.nnz
+            assert plan.edge_keys.size == coo.nnz
             rows = coo.row.astype(np.int64)
             cols = coo.col.astype(np.int64)
             looked_up = plan.coupling_at(rows, cols)
@@ -248,35 +236,41 @@ class TestTilosPlan:
 
 
 class TestMinfloKernel:
-    def test_end_to_end_parity(self, c17_gate_dag):
-        """The full W/D alternation is kernel-independent."""
-        dag = c17_gate_dag
-        dmin = analyze(dag, dag.min_sizes()).critical_path_delay
-        target = 0.7 * dmin
-        results = {
-            kernel: minflotransit(
-                dag, target, MinfloOptions(kernel=kernel, max_iterations=8)
-            )
-            for kernel in ("scalar", "vectorized")
-        }
-        scalar, vectorized = results["scalar"], results["vectorized"]
-        assert scalar.area == pytest.approx(vectorized.area, rel=1e-9)
-        assert np.allclose(scalar.x, vectorized.x, rtol=0, atol=1e-9)
-        assert all(
-            rec.kernel == "vectorized" for rec in vectorized.iterations
-        )
-        assert all(rec.w_sweeps >= 1 for rec in vectorized.iterations)
-        assert set(vectorized.phase_seconds) == {
-            "timing", "balance", "d_phase", "w_phase"
-        }
-        assert vectorized.w_sweeps_total >= vectorized.n_iterations
+    def test_end_to_end_parity(self, c17_gate_dag, c17_transistor_dag,
+                               monkeypatch):
+        """The full W/D alternation matches a run with the W-phase
+        oracle patched in, in gate and transistor mode."""
+        for dag in (c17_gate_dag, c17_transistor_dag):
+            dmin = analyze(dag, dag.min_sizes()).critical_path_delay
+            target = 0.7 * dmin
+            options = MinfloOptions(max_iterations=8)
+            vectorized = minflotransit(dag, target, options)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    "repro.sizing.minflo.w_phase", smp_oracle.w_phase
+                )
+                scalar = minflotransit(dag, target, options)
+            assert scalar.area == pytest.approx(vectorized.area, rel=1e-9)
+            assert np.allclose(scalar.x, vectorized.x, rtol=0, atol=1e-9)
+            assert [rec.w_sweeps for rec in scalar.iterations] == [
+                rec.w_sweeps for rec in vectorized.iterations
+            ]
+            assert all(rec.w_sweeps >= 1 for rec in vectorized.iterations)
+            assert set(vectorized.phase_seconds) == {
+                "timing", "balance", "d_phase", "w_phase"
+            }
+            assert vectorized.w_sweeps_total >= vectorized.n_iterations
 
     def test_kernel_option_validation(self):
-        with pytest.raises(SizingError, match="kernel"):
-            MinfloOptions(kernel="fpga")
+        """The retired W-phase kernel selector is not a MINFLOTRANSIT
+        option any more."""
+        assert "kernel" not in {f.name for f in fields(MinfloOptions)}
+        for kernel in ("scalar", "vectorized"):
+            with pytest.raises(TypeError, match="kernel"):
+                MinfloOptions(kernel=kernel)
 
     def test_kernel_counters_round_trip(self, c17_gate_dag):
-        """serialize keeps the new counters; loaders tolerate absence."""
+        """serialize keeps the per-phase and per-iteration counters."""
         dag = c17_gate_dag
         dmin = analyze(dag, dag.min_sizes()).critical_path_delay
         result = minflotransit(
@@ -289,15 +283,3 @@ class TestMinfloKernel:
         assert [rec.w_sweeps for rec in loaded.iterations] == [
             rec.w_sweeps for rec in result.iterations
         ]
-        assert [rec.kernel for rec in loaded.iterations] == [
-            rec.kernel for rec in result.iterations
-        ]
-        # Documents written before the counters existed still load.
-        payload.pop("phase_seconds")
-        for rec in payload["iterations"]:
-            rec.pop("w_sweeps")
-            rec.pop("kernel")
-        legacy = result_from_dict(payload)
-        assert legacy.phase_seconds == {}
-        assert all(rec.w_sweeps == 0 for rec in legacy.iterations)
-        assert all(rec.kernel == "" for rec in legacy.iterations)

@@ -340,7 +340,7 @@ def corpus_queries(draw):
     dag = build_sizing_dag(draw(small_circuits()), _TECH, mode="gate")
     options = {
         "bump": draw(st.sampled_from([1.05, 1.1, 1.2])),
-        "engine": draw(st.sampled_from(["incremental", "scalar"])),
+        "batch": draw(st.sampled_from([1, 4])),
     }
     delay_spec = draw(st.sampled_from([0.6, 0.8, 0.9, None]))
     target = draw(st.sampled_from([1.0, 2.5, None]))
@@ -437,7 +437,6 @@ def sizing_results(draw):
             augmentations=draw(st.integers(0, 100)),
             supply_routed=draw(_FINITE),
             w_sweeps=draw(st.integers(0, 50)),
-            kernel=draw(st.sampled_from(["scalar", "vectorized"])),
         )
         for i in range(draw(st.integers(0, 3)))
     ]

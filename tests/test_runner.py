@@ -20,6 +20,7 @@ from repro.runner import (
     job_key,
     load_run,
     run_campaign,
+    run_one,
 )
 from repro.runner.executor import _EXECUTORS
 from repro.runner.spec import normalize_options, resolve_circuit, tier_preset
@@ -66,7 +67,7 @@ class TestSpec:
             name="rt",
             circuits=("c17",),
             delay_specs=(0.7,),
-            options=normalize_options({"kernel": "scalar"}),
+            options=normalize_options({"balancing": "alap"}),
         )
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
         job = spec.jobs()[0]
@@ -75,15 +76,18 @@ class TestSpec:
     def test_normalize_options_rejects_unknown(self):
         with pytest.raises(RunnerError, match="unknown MinfloOptions"):
             normalize_options({"not_a_knob": 1})
+        # Retired W-phase twin selector: no longer a MinfloOptions field.
+        with pytest.raises(RunnerError, match="unknown MinfloOptions"):
+            normalize_options({"kernel": "scalar"})
 
     def test_options_reach_minflo(self):
         job = Job(
             circuit="c17",
             delay_spec=0.5,
-            options=normalize_options({"kernel": "scalar", "alpha": 0.1}),
+            options=normalize_options({"balancing": "alap", "alpha": 0.1}),
         )
         options = job.minflo_options()
-        assert options.kernel == "scalar"
+        assert options.balancing == "alap"
         assert options.alpha == pytest.approx(0.1)
 
     def test_tier_preset_matches_env(self, monkeypatch):
@@ -139,6 +143,35 @@ class TestCache:
         payload["result"]["schema_version"] = serialize.SCHEMA_VERSION
         cache.put(key, payload)
         assert cache.get(key) is not None
+
+    def test_schema2_entry_is_never_served(self, tmp_path, monkeypatch):
+        """An entry a schema-2 build wrote misses, never a wrong hit:
+        its key is not the current key, and even planted under the
+        current key its result fails the version check."""
+        job = Job(circuit="c17", delay_spec=0.6)
+        fresh = run_one(job, cache=None)
+        assert fresh.status == "ok"
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "SCHEMA_VERSION", 2)
+            old_key = job_key(job)
+        key = job_key(job)
+        assert old_key != key
+        stale = json.loads(json.dumps(fresh.payload))
+        stale["result"]["schema_version"] = 2
+        stale["result"]["schema"] = "repro.sizing-result/2"
+        for rec in stale["result"]["iterations"]:
+            rec["kernel"] = "vectorized"
+        stale["result"]["area"] *= 2  # a wrong answer, if ever served
+
+        cache = ResultCache(tmp_path)
+        cache.put(old_key, stale)
+        assert cache.get(key) is None
+        cache.put(key, stale)
+        assert cache.get(key) is None
+        outcome = run_one(job, cache)
+        assert not outcome.cached
+        assert outcome.payload["result"]["area"] == fresh.payload["result"]["area"]
+        assert cache.get(key)["result"]["schema_version"] == 3
 
 
 class TestExecutor:

@@ -51,6 +51,14 @@ class TestSerialize:
         payload["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(SizingError, match="version"):
             result_from_dict(payload)
+        # A version-2 document (it carried a per-iteration "kernel" key
+        # and loaded with telemetry fields missing) is refused too.
+        payload["schema_version"] = 2
+        payload["schema"] = "repro.sizing-result/2"
+        for rec in payload["iterations"]:
+            rec["kernel"] = "vectorized"
+        with pytest.raises(SizingError, match="version 2"):
+            result_from_dict(payload)
 
     def test_v1_documents_rejected(self, result):
         # Version 1 predates the explicit schema_version field; its
@@ -60,6 +68,17 @@ class TestSerialize:
         payload["schema"] = "repro.sizing-result/1"
         assert payload_schema_version(payload) == 1
         with pytest.raises(SizingError, match="version 1"):
+            result_from_dict(payload)
+
+    def test_missing_field_raises_sizing_error(self, result):
+        payload = result_to_dict(result)
+        assert payload["schema_version"] == 3
+        del payload["iterations"][0]["w_sweeps"]
+        with pytest.raises(SizingError, match="w_sweeps"):
+            result_from_dict(payload)
+        payload = result_to_dict(result)
+        del payload["phase_seconds"]
+        with pytest.raises(SizingError, match="phase_seconds"):
             result_from_dict(payload)
 
     def test_payload_carries_current_version(self, result):

@@ -249,6 +249,8 @@ class TestErrors:
          "unknown MinfloOptions"),
         ({"circuit": "c17", "options": {"warm_start": False}},
          "unknown MinfloOptions"),
+        ({"circuit": "c17", "options": {"kernel": "scalar"}},
+         "unknown MinfloOptions"),
     ])
     def test_malformed_bodies_get_400(self, live, body, fragment):
         with pytest.raises(ServiceError) as err:

@@ -77,6 +77,78 @@ class TestWPhase:
         assert np.all(result.x <= 2.5 + 1e-6)
 
 
+def _rca8_wphase(spec: float, mode: str = "gate"):
+    """The ``rca:8`` W-phase instance a ``wphase`` job at ``spec``
+    solves: ``(dag, budgets)`` built by the job executor's own helpers."""
+    from repro.runner.executor import _wphase_budgets, _wphase_context
+    from repro.runner.spec import Job
+
+    _circuit, dag, load_delay = _wphase_context(
+        Job("rca:8", spec, kind="wphase", mode=mode)
+    )
+    return dag, _wphase_budgets(dag, load_delay, spec)
+
+
+def _seed(dag, x, budgets) -> dict:
+    """A corpus-shaped W-phase donor record."""
+    from repro.sizing.fingerprint import dag_digest
+
+    return {"x": np.array(x), "budgets": np.array(budgets),
+            "dag_sha": dag_digest(dag)}
+
+
+class TestWPhaseWarmSeed:
+    """``w_phase(..., warm=...)`` directly: the dominated-budget gate,
+    the exactness monitor and every fallback return the cold bits."""
+
+    def _assert_cold(self, warm, cold):
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.sweeps == cold.sweeps
+        assert warm.clamped == cold.clamped
+
+    def test_dominated_donor_seeds_bitwise_cold(self):
+        dag, donor_budgets = _rca8_wphase(0.95)
+        _dag, budgets = _rca8_wphase(0.9)
+        donor = w_phase(dag, donor_budgets)
+        assert np.all(donor_budgets >= budgets)
+        cold = w_phase(dag, budgets)
+        warm = w_phase(dag, budgets, warm=_seed(dag, donor.x, donor_budgets))
+        assert warm.warm == "seeded"
+        assert cold.warm is None
+        self._assert_cold(warm, cold)
+
+    def test_non_dominating_donor_falls_back(self):
+        dag, donor_budgets = _rca8_wphase(0.85)
+        _dag, budgets = _rca8_wphase(0.9)
+        donor = w_phase(dag, donor_budgets)
+        cold = w_phase(dag, budgets)
+        warm = w_phase(dag, budgets, warm=_seed(dag, donor.x, donor_budgets))
+        assert warm.warm == "donor budgets do not dominate"
+        self._assert_cold(warm, cold)
+
+    def test_seed_above_fixed_point_falls_back(self):
+        """A seed above the least fixed point passes the gate (its
+        budgets dominate) but survives relaxation unchanged; the
+        monitor must catch it."""
+        dag, budgets = _rca8_wphase(0.9)
+        cold = w_phase(dag, budgets)
+        poisoned = np.minimum(cold.x * 1.5, dag.upper)
+        assert np.any(poisoned > cold.x)
+        warm = w_phase(dag, budgets, warm=_seed(dag, poisoned, budgets))
+        assert warm.warm == "seeded iterate left the cold basin"
+        self._assert_cold(warm, cold)
+
+    def test_transistor_mode_falls_back(self):
+        dag, donor_budgets = _rca8_wphase(0.95, mode="transistor")
+        _dag, budgets = _rca8_wphase(0.9, mode="transistor")
+        assert dag.mode == "transistor"
+        donor = w_phase(dag, donor_budgets)
+        cold = w_phase(dag, budgets)
+        warm = w_phase(dag, budgets, warm=_seed(dag, donor.x, donor_budgets))
+        assert warm.warm == "transistor blocks couple mutually"
+        self._assert_cold(warm, cold)
+
+
 class TestAreaSensitivities:
     def test_positive(self, c17_gate_dag):
         x = c17_gate_dag.min_sizes() * 2

@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.runner import executor
 from repro.runner.cache import ResultCache
 from repro.runner.corpus import (
     WarmCorpus,
@@ -60,16 +61,54 @@ _SWEEPS = {
 }
 
 
+def _spy_warm_telemetry(monkeypatch) -> list:
+    """Capture every job's warm telemetry (hit / seeded / fallback and
+    the fallback reason) as the executor folds it into its outcome."""
+    seen: list = []
+    real = executor.record_warm_outcome
+
+    def spy(warm):
+        seen.append({k: v for k, v in warm.items() if k != "blob"})
+        real(warm)
+
+    monkeypatch.setattr(executor, "record_warm_outcome", spy)
+    return seen
+
+
+def _parity_report(job, cold_out, warm_out, telemetry) -> str:
+    """What a failed seeded-vs-cold comparison needs to be diagnosed."""
+
+    def summary(outcome):
+        payload = outcome.payload or {}
+        result = payload.get("result") or payload
+        return {k: result.get(k) for k in ("area", "sweeps", "feasible")}
+
+    return (
+        f"job {job.label()} (kind {job.kind}, spec {job.delay_spec}) "
+        f"diverged from cold: warm telemetry {telemetry}; "
+        f"warm {summary(warm_out)} vs cold {summary(cold_out)}"
+    )
+
+
 class TestSeededColdParity:
     @pytest.mark.parametrize("sweep", sorted(_SWEEPS))
-    def test_drifting_sweep_matches_cold(self, tmp_path, sweep):
+    def test_drifting_sweep_matches_cold(self, tmp_path, sweep, monkeypatch):
         jobs = _SWEEPS[sweep]
         cold = [run_one(job, cache=None) for job in jobs]
         cache = ResultCache(tmp_path / "corpus")
         spec = f"disk:{tmp_path / 'corpus'}"
-        warm = [run_one(job, cache, warm=spec) for job in jobs]
-        for cold_out, warm_out in zip(cold, warm):
-            assert _comparable(warm_out) == _comparable(cold_out)
+        seen = _spy_warm_telemetry(monkeypatch)
+        warm, telemetry = [], []
+        for job in jobs:
+            before = len(seen)
+            warm.append(run_one(job, cache, warm=spec))
+            telemetry.append(seen[before:])
+        for job, cold_out, warm_out, job_telemetry in zip(
+            jobs, cold, warm, telemetry
+        ):
+            assert _comparable(warm_out) == _comparable(cold_out), (
+                _parity_report(job, cold_out, warm_out, job_telemetry)
+            )
         # The sweep genuinely exercised seeding (not vacuous parity):
         # the first job is a cold miss, every later one finds a donor.
         assert not warm[0].warm_hit

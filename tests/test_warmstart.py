@@ -83,7 +83,7 @@ class TestWarmStartParity:
         timer = GraphTimer(dag)
         d_min = analyze(dag, dag.min_sizes()).critical_path_delay
         target = 0.55 * d_min
-        seed = tilos_size(dag, target, TilosOptions(), timer=timer)
+        seed = tilos_size(dag, target, TilosOptions())
         assert seed.feasible
         x = seed.x
         basis = None
