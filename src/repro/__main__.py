@@ -479,6 +479,7 @@ def _add_serve_parser(sub) -> None:
                          help="TCP port (default 8765; 0 = pick a free one)")
     p_serve.add_argument("--jobs", type=int, default=1,
                          help="sizing workers (1 = one dedicated thread, "
+                              "or one process with --timeout; "
                               ">1 = a process pool)")
     p_serve.add_argument("--cache-dir", default=None,
                          help="result cache directory "

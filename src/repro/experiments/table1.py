@@ -125,15 +125,9 @@ def run_row(spec: BenchmarkSpec) -> Table1Row:
     """Build, seed with TILOS and refine with MINFLOTRANSIT (one row)."""
     job = Job(circuit=spec.name, delay_spec=spec.delay_spec)
     status, payload = execute_job(job)
-    return row_from_outcome(JobOutcome(
-        index=0,
-        job=job,
-        key=None,
-        status=status,
-        cached=False,
-        wall_seconds=0.0,
-        payload=payload,
-    ))
+    return row_from_outcome(
+        JobOutcome(job=job, status=status, payload=payload)
+    )
 
 
 def run_table1(

@@ -37,12 +37,12 @@ from repro.obs.trace import (
     TraceContext,
     current_carrier,
     current_trace,
-    emit_obs,
     format_trace_header,
     new_span_id,
     new_trace_id,
     parse_trace_header,
     span,
+    span_record,
     trace_scope,
 )
 
@@ -56,7 +56,6 @@ __all__ = [
     "TraceContext",
     "current_carrier",
     "current_trace",
-    "emit_obs",
     "format_trace_header",
     "get_registry",
     "new_span_id",
@@ -64,5 +63,6 @@ __all__ = [
     "observe_spans",
     "parse_trace_header",
     "span",
+    "span_record",
     "trace_scope",
 ]

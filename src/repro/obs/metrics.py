@@ -14,7 +14,8 @@ No dependencies beyond the stdlib: exposition is hand-rolled
 cumulative ``_bucket{le=...}`` histogram series ending in ``+Inf``).
 
 Worker processes do not share this registry; their contribution flows
-back through result tuples as span lists and is folded in by
+back as span lists in the ``obs`` blob beside each worker's
+:class:`~repro.runner.executor.JobOutcome`, and is folded in by
 :func:`observe_spans` on the parent side.
 """
 

@@ -17,9 +17,9 @@ Propagation is explicit at every process boundary, because
   ``queue.wait`` / execution spans under that root.
 * **Process pools** — the parent passes a carrier dict (see
   :func:`current_carrier`) into ``pool_entry``; the worker buffers its
-  spans in an in-memory :class:`SpanSink` and ships them back inside
-  the result tuple, where the parent re-emits them via
-  :func:`emit_obs`.
+  spans in an in-memory :class:`SpanSink` and ships them back in the
+  ``obs`` blob beside its :class:`~repro.runner.executor.JobOutcome`,
+  where the parent's settle step re-emits them.
 
 Finished spans are JSON objects appended to ``trace.jsonl``::
 
@@ -52,12 +52,12 @@ __all__ = [
     "TraceContext",
     "current_carrier",
     "current_trace",
-    "emit_obs",
     "format_trace_header",
     "new_span_id",
     "new_trace_id",
     "parse_trace_header",
     "span",
+    "span_record",
     "trace_scope",
 ]
 
@@ -75,6 +75,31 @@ def new_trace_id() -> str:
 def new_span_id() -> str:
     """Return a fresh 8-hex-char span id."""
     return uuid.uuid4().hex[:8]
+
+
+def span_record(
+    trace_id: str,
+    span_id: str,
+    parent: str | None,
+    name: str,
+    ts: float,
+    duration_s: float,
+    attrs: dict | None = None,
+) -> dict:
+    """One finished span as the JSON object ``trace.jsonl`` stores
+    (``attrs`` is omitted when empty)."""
+    record = {
+        "type": "span",
+        "trace": trace_id,
+        "id": span_id,
+        "parent": parent,
+        "name": name,
+        "ts": ts,
+        "duration_s": duration_s,
+    }
+    if attrs:
+        record["attrs"] = dict(attrs)
+    return record
 
 
 def format_trace_header(trace_id: str, span_id: str | None = None) -> str:
@@ -111,7 +136,7 @@ class SpanSink:
     With a ``path``, records are written as JSONL (one handle, locked,
     flushed per batch — safe to share across drain threads).  Without
     one, records buffer in memory; :meth:`drain` hands them off, which
-    is how worker processes ship spans back through result tuples.
+    is how worker processes ship spans back across the pool boundary.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -243,33 +268,10 @@ class span:
             ctx.span_id = self._parent
             if exc_type is not None:
                 self.attrs.setdefault("error", exc_type.__name__)
-            record = {
-                "type": "span",
-                "trace": ctx.trace_id,
-                "id": self._id,
-                "parent": self._parent,
-                "name": self.name,
-                "ts": self._ts,
-                "duration_s": self.duration_s,
-            }
-            if self.attrs:
-                record["attrs"] = dict(self.attrs)
             if ctx.sink is not None:
-                ctx.sink.emit(record)
+                ctx.sink.emit(span_record(
+                    ctx.trace_id, self._id, self._parent, self.name,
+                    self._ts, self.duration_s, self.attrs,
+                ))
         return False
 
-
-def emit_obs(obs: dict | None) -> None:
-    """Re-emit a worker's returned observability blob into the current
-    context's sink, if one is active.
-
-    Used by in-process callers of ``pool_entry`` so the worker's
-    ``{"spans": [...]}`` land in the same ``trace.jsonl`` as local
-    spans.
-    """
-    if not obs:
-        return
-    ctx = _CONTEXT.get()
-    if ctx is None or ctx.sink is None:
-        return
-    ctx.sink.emit_many(obs.get("spans") or ())

@@ -273,8 +273,8 @@ class WarmSession:
     Created worker-side by ``pool_entry`` when a corpus spec rides
     along; the executors call ``probe_*`` before solving, ``note_seed``
     after, and ``stage_*`` to attach the freshly computed trajectory.
-    :meth:`as_obs` is the plain-dict summary shipped back through the
-    result tuple — the parent folds it into metrics
+    :meth:`as_obs` is the plain-dict summary shipped back in the
+    worker's ``obs`` blob — the parent folds it into metrics
     (:func:`record_warm_outcome`) and stores the staged record with
     the cache entry.
     """
@@ -405,7 +405,7 @@ class WarmSession:
         })
 
     def as_obs(self) -> dict:
-        """Plain-dict summary for the result tuple's ``obs`` blob."""
+        """Plain-dict summary for the worker's ``obs`` blob."""
         out = dict(self.telemetry)
         if self.record is not None:
             out["blob"] = self.record

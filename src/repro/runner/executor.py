@@ -58,10 +58,10 @@ from repro.obs.trace import (
     SpanSink,
     current_carrier,
     current_trace,
-    emit_obs,
     new_span_id,
     new_trace_id,
     span,
+    span_record,
     trace_scope,
 )
 from repro.runner.cache import ResultCache, job_key, netlist_digest
@@ -76,9 +76,11 @@ __all__ = [
     "campaign_keys",
     "execute_job",
     "pool_entry",
+    "pool_failure",
     "probe_cache",
     "run_campaign",
     "run_one",
+    "settle",
     "store_outcome",
 ]
 
@@ -108,18 +110,25 @@ MAX_POOL_RESTARTS = 8
 
 @dataclass(frozen=True)
 class JobOutcome:
-    """One job's fate: status, payload, provenance."""
+    """One job's fate: status, payload, provenance.
 
-    index: int
+    This is also the one record that crosses the process-pool boundary:
+    a worker (:func:`pool_entry`, :func:`batch_entry`) fills status,
+    payload, error, wall time and the batch fields, and the parent's
+    :func:`settle` stamps ``index``, ``key`` and ``trace_id``.
+    """
+
     job: Job
-    key: str | None
     status: str  # "ok" | "infeasible" | "failed" | "timeout"
-    cached: bool
-    wall_seconds: float
-    payload: dict | None
+    payload: dict | None = None
     error: str | None = None
-    #: Jobs fused into the stacked kernel call that produced this
-    #: outcome (0 = per-job execution, cached replay, or fallback).
+    wall_seconds: float = 0.0
+    #: Position in the campaign's job-expansion order (0 outside one).
+    index: int = 0
+    key: str | None = None
+    cached: bool = False
+    #: Jobs the stacked kernel call that produced this outcome actually
+    #: fused (0 = per-job execution, cached replay, or fallback).
     batch_size: int = 0
     #: Wall time of the shared stacked solve for the whole batch (every
     #: member outcome reports the same figure; 0.0 outside a batch).
@@ -190,6 +199,23 @@ class CampaignResult:
 # -- job execution (runs in the worker process) -----------------------
 
 
+def _sizing_dag(job: Job) -> tuple:
+    """Resolve a job's circuit and build its sizing DAG.
+
+    Returns ``(circuit, dag)``.  Transistor mode maps macro cells
+    (adders, multiplexers) to primitives first, so every job kind sizes
+    the same graph for the same (circuit, mode).
+    """
+    from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
+    from repro.dag import build_sizing_dag
+    from repro.tech import default_technology
+
+    circuit = resolve_circuit(job.circuit)
+    if job.mode == "transistor" and not is_primitive_circuit(circuit):
+        circuit = map_to_primitives(circuit, suffix="")
+    return circuit, build_sizing_dag(circuit, default_technology(), mode=job.mode)
+
+
 def _execute_sizing(
     job: Job, warm: WarmSession | None = None
 ) -> tuple[str, dict]:
@@ -201,8 +227,6 @@ def _execute_sizing(
     cold run produces — and the freshly computed trajectory is staged
     as this job's own corpus record.
     """
-    from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
-    from repro.dag import build_sizing_dag
     from repro.flow.registry import stats_scope
     from repro.sizing import minflotransit, tilos_size
     from repro.sizing.serialize import result_to_dict
@@ -210,11 +234,7 @@ def _execute_sizing(
     from repro.tech import default_technology
     from repro.timing import GraphTimer
 
-    circuit = resolve_circuit(job.circuit)
-    if job.mode == "transistor" and not is_primitive_circuit(circuit):
-        circuit = map_to_primitives(circuit, suffix="")
-    tech = default_technology()
-    dag = build_sizing_dag(circuit, tech, mode=job.mode)
+    circuit, dag = _sizing_dag(job)
     timer = GraphTimer(dag)
     x_min = dag.min_sizes()
     d_min = timer.analyze(dag.delays(x_min)).critical_path_delay
@@ -237,7 +257,7 @@ def _execute_sizing(
         with span("warmstart.probe", circuit=job.circuit) as probe_span:
             donor = warm.probe_sizing(
                 dag=dag,
-                tech=tech,
+                tech=default_technology(),
                 mode=job.mode,
                 options=topts,
                 delay_spec=job.delay_spec,
@@ -286,9 +306,7 @@ def _execute_sizing(
 def _execute_phases(job: Job) -> tuple[str, dict]:
     """Time one STA / balance / W-phase / D-phase pass (scaling study)."""
     from repro.balancing import balance
-    from repro.dag import build_sizing_dag
     from repro.sizing import d_phase, tilos_size, w_phase
-    from repro.tech import default_technology
     from repro.timing import GraphTimer
 
     def best_of(fn, repeats: int = 3) -> float:
@@ -299,8 +317,7 @@ def _execute_phases(job: Job) -> tuple[str, dict]:
             best = min(best, time.perf_counter() - start)
         return best
 
-    circuit = resolve_circuit(job.circuit)
-    dag = build_sizing_dag(circuit, default_technology(), mode=job.mode)
+    circuit, dag = _sizing_dag(job)
     timer = GraphTimer(dag)
     d_min = timer.analyze(dag.delays(dag.min_sizes())).critical_path_delay
     target = job.delay_spec * d_min
@@ -347,14 +364,7 @@ def _wphase_context(job: Job) -> tuple:
     the batched executor shares one context across every delay spec of
     the same circuit — the amortization the batch strategy exists for.
     """
-    from repro.circuit.mapping import is_primitive_circuit, map_to_primitives
-    from repro.dag import build_sizing_dag
-    from repro.tech import default_technology
-
-    circuit = resolve_circuit(job.circuit)
-    if job.mode == "transistor" and not is_primitive_circuit(circuit):
-        circuit = map_to_primitives(circuit, suffix="")
-    dag = build_sizing_dag(circuit, default_technology(), mode=job.mode)
+    circuit, dag = _sizing_dag(job)
     load_delay = dag.delays(dag.min_sizes()) - dag.model.intrinsic
     return circuit, dag, load_delay
 
@@ -525,19 +535,50 @@ def _with_timeout(fn, timeout: float | None):
     return _watchdog_timeout(fn, timeout)
 
 
+def _failure(exc: Exception) -> tuple[str, str]:
+    """Worker-side ``(status, error)`` for a job that raised ``exc``.
+
+    A blown wall-time budget is a ``timeout``; anything else is
+    ``failed`` with its traceback.  Call from inside the ``except``.
+    """
+    if isinstance(exc, JobTimeoutError):
+        return "timeout", str(exc)
+    return "failed", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+
+
+def _worker_fault_events(injector) -> list[dict] | None:
+    """Fault events for the parent's metrics, from worker processes only.
+
+    In-process (thread-pool) execution already counted the fires in
+    the shared registry; shipping them would double-count.
+    """
+    if injector is None or multiprocessing.parent_process() is None:
+        return None
+    return injector.drain_events()
+
+
+def pool_failure(job: Job, exc: Exception) -> JobOutcome:
+    """Parent-side outcome of a pool task that raised instead of
+    returning (its worker died, or the pool broke under it)."""
+    return JobOutcome(
+        job=job, status="failed", error=f"{type(exc).__name__}: {exc}"
+    )
+
+
 def pool_entry(
     job: Job,
     timeout: float | None,
     trace: dict | None = None,
     warm: str | None = None,
     faults: tuple | None = None,
-) -> tuple[str, dict | None, str | None, float, dict | None]:
+) -> tuple[JobOutcome, dict | None]:
     """Worker-side wrapper: isolate failures, enforce the timeout.
 
-    Returns ``(status, payload, error, wall_seconds, obs)`` — a plain
-    tuple of primitives so it pickles cleanly back across the process
-    pool.  The campaign pool and the sizing service both submit this
-    exact callable, which is what keeps their results identical.
+    Returns ``(outcome, obs)``: a picklable :class:`JobOutcome` carrying
+    status, payload, error and wall time (the parent's :func:`settle`
+    stamps index, key and trace id), plus the observability blob.  The
+    campaign pool and the sizing service both submit this exact
+    callable, which is what keeps their results identical.
 
     ``trace`` is an optional :func:`~repro.obs.trace.current_carrier`
     dict; when given, the job executes inside the propagated trace
@@ -578,7 +619,6 @@ def pool_entry(
         else nullcontext()
     )
     session = WarmSession.open(warm)
-    status: str
     payload: dict | None = None
     error: str | None = None
     try:
@@ -594,20 +634,10 @@ def pool_entry(
                     return execute_job(job, warm=session)
 
                 status, payload = _with_timeout(_run, timeout)
-    except JobTimeoutError as exc:
-        status, error = "timeout", str(exc)
     except Exception as exc:  # noqa: BLE001 — isolation is the point
-        status = "failed"
-        error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        status, error = _failure(exc)
     obs: dict | None = None
-    fault_events = (
-        injector.drain_events()
-        if injector is not None
-        # In-process (thread-pool) execution already counted the fires
-        # in the shared registry; shipping them would double-count.
-        and multiprocessing.parent_process() is not None
-        else None
-    )
+    fault_events = _worker_fault_events(injector)
     if sink is not None or session is not None or fault_events:
         obs = {}
         if sink is not None:
@@ -616,7 +646,14 @@ def pool_entry(
             obs["warm"] = session.as_obs()
         if fault_events:
             obs["faults"] = fault_events
-    return status, payload, error, time.perf_counter() - start, obs
+    outcome = JobOutcome(
+        job=job,
+        status=status,
+        payload=payload,
+        error=error,
+        wall_seconds=time.perf_counter() - start,
+    )
+    return outcome, obs
 
 
 # -- batched execution (stacked kernel call, runs in the worker) ------
@@ -651,15 +688,15 @@ def batch_entry(
     timeout: float | None,
     traces: list[dict | None] | None = None,
     faults: tuple | None = None,
-) -> list[tuple[str, dict | None, str | None, float, float, dict | None]]:
+) -> list[tuple[JobOutcome, dict | None]]:
     """Run a compatible job group through one stacked kernel call.
 
-    The batched twin of :func:`pool_entry`: returns one
-    ``(status, payload, error, wall_seconds, batched_seconds, obs)``
-    tuple of primitives per job, in job order, so it pickles cleanly
-    across a process pool.  ``batched_seconds`` is the shared
-    stacked-solve wall time (0.0 when that job was served by the
-    per-job fallback).  ``traces`` optionally carries one
+    The batched twin of :func:`pool_entry`: returns one ``(outcome,
+    obs)`` pair per job, in job order.  Outcomes served by the stacked
+    solve report ``batch_size`` — the number of jobs it actually fused,
+    which excludes jobs that failed setup — and ``batched_seconds``,
+    the shared stacked-solve wall time; per-job fallbacks report 0 for
+    both.  ``traces`` optionally carries one
     :func:`~repro.obs.trace.current_carrier` dict per job; each traced
     job's ``obs`` blob ships its spans back (``batch.setup`` under its
     own budget, plus a ``batch.solve_share`` span whose duration is
@@ -685,7 +722,7 @@ def batch_entry(
 
     injector = install_from_args(faults)
     n = len(jobs)
-    raws: list[tuple | None] = [None] * n
+    results: list[tuple[JobOutcome, dict | None] | None] = [None] * n
     setup_seconds = [0.0] * n
     contexts: dict[tuple[str, str], tuple] = {}
     prepared: dict[int, tuple] = {}
@@ -728,16 +765,16 @@ def batch_entry(
                 with span("batch.setup", circuit=job.circuit):
                     prepared[pos] = _with_timeout(setup, timeout)
             setup_seconds[pos] = time.perf_counter() - start
-        except JobTimeoutError as exc:
-            raws[pos] = (
-                "timeout", None, str(exc),
-                time.perf_counter() - start, 0.0, job_obs(pos),
-            )
         except Exception as exc:  # noqa: BLE001 — isolation is the point
-            detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            raws[pos] = (
-                "failed", None, detail,
-                time.perf_counter() - start, 0.0, job_obs(pos),
+            status, error = _failure(exc)
+            results[pos] = (
+                JobOutcome(
+                    job=job,
+                    status=status,
+                    error=error,
+                    wall_seconds=time.perf_counter() - start,
+                ),
+                job_obs(pos),
             )
 
     live = sorted(prepared)
@@ -774,65 +811,59 @@ def batch_entry(
 
     if solved is None:
         solved = [None] * len(live)
+    share = batched_seconds / len(live) if live else 0.0
     for pos, smp in zip(live, solved):
         job = jobs[pos]
         if smp is None:
             # Stacked solve unavailable (failed, timed out) or this
             # instance did not converge: the isolated per-job path is
             # the authority, including its error text.
-            status, payload, error, wall, fallback_obs = pool_entry(
-                job, timeout, traces[pos]
-            )
+            outcome, fallback_obs = pool_entry(job, timeout, traces[pos])
             if fallback_obs and sinks[pos] is not None:
                 sinks[pos].emit_many(fallback_obs.get("spans") or ())
-            raws[pos] = (status, payload, error, wall, 0.0, job_obs(pos))
+            results[pos] = (outcome, job_obs(pos))
             continue
         carrier = traces[pos]
         if carrier is not None:
             # The stacked solve served every live job at once; each
             # traced job records its amortized share so per-parent
             # child durations stay <= the parent's.
-            sinks[pos].emit({
-                "type": "span",
-                "trace": carrier.get("trace_id"),
-                "id": new_span_id(),
-                "parent": carrier.get("parent_id"),
-                "name": "batch.solve_share",
-                "ts": solve_wall,
-                "duration_s": batched_seconds / len(live),
-                "attrs": {
-                    "batch_size": len(live),
-                    "batched_seconds": batched_seconds,
-                },
-            })
+            sinks[pos].emit(span_record(
+                carrier.get("trace_id"),
+                new_span_id(),
+                carrier.get("parent_id"),
+                "batch.solve_share",
+                solve_wall,
+                share,
+                {"batch_size": len(live), "batched_seconds": batched_seconds},
+            ))
         start = time.perf_counter()
+        payload: dict | None = None
+        error: str | None = None
         try:
             circuit, dag, budgets, _plan = prepared[pos]
             status, payload = _wphase_payload(job, circuit, dag, budgets, smp)
-            wall = (
-                setup_seconds[pos]
-                + batched_seconds / len(live)
-                + (time.perf_counter() - start)
-            )
-            raws[pos] = (
-                status, payload, None, wall, batched_seconds, job_obs(pos),
-            )
         except Exception as exc:  # noqa: BLE001 — isolation is the point
-            detail = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            raws[pos] = (
-                "failed", None, detail,
-                setup_seconds[pos] + (time.perf_counter() - start),
-                batched_seconds, job_obs(pos),
-            )
-    if injector is not None and multiprocessing.parent_process() is not None:
+            status, error = _failure(exc)
+        outcome = JobOutcome(
+            job=job,
+            status=status,
+            payload=payload,
+            error=error,
+            wall_seconds=(
+                setup_seconds[pos] + share + (time.perf_counter() - start)
+            ),
+            batch_size=len(live),
+            batched_seconds=batched_seconds,
+        )
+        results[pos] = (outcome, job_obs(pos))
+    events = _worker_fault_events(injector)
+    if events and results:
         # Worker-process fault events ride home on the first job's obs
         # blob (batch-level faults have no single owning job anyway).
-        events = injector.drain_events()
-        if events and raws and raws[0] is not None:
-            first = dict(raws[0][5] or {})
-            first["faults"] = events
-            raws[0] = (*raws[0][:5], first)
-    return raws
+        outcome, obs = results[0]
+        results[0] = (outcome, {**(obs or {}), "faults": events})
+    return results
 
 
 # -- the driver (parent process) --------------------------------------
@@ -846,7 +877,7 @@ def _payload_status(payload: dict) -> str:
 
 
 def probe_cache(
-    job: Job, key: str | None, cache: ResultCache | None, index: int = 0
+    job: Job, key: str | None, cache: ResultCache | None
 ) -> JobOutcome | None:
     """Replay a job from the result cache, or None on a miss.
 
@@ -861,12 +892,10 @@ def probe_cache(
     if payload is None:
         return None
     return JobOutcome(
-        index=index,
         job=job,
         key=key,
         status=_payload_status(payload),
         cached=True,
-        wall_seconds=0.0,
         payload=payload,
     )
 
@@ -900,29 +929,48 @@ def store_outcome(
         cache.put(outcome.key, outcome.payload, warm=warm)
 
 
-def apply_warm(
-    outcome: JobOutcome, obs: dict | None
-) -> tuple[JobOutcome, dict | None]:
-    """Fold a worker's warm telemetry into its outcome (parent side).
+def settle(
+    outcome: JobOutcome,
+    obs: dict | None,
+    cache: ResultCache | None,
+    *,
+    index: int = 0,
+    key: str | None = None,
+    trace_id: str | None = None,
+    sink: SpanSink | None = None,
+) -> JobOutcome:
+    """The parent-side half of every execution path.
 
-    Returns the (possibly updated) outcome plus the staged corpus
-    record to store with the cache entry.  This is also the single
-    place ``repro_warmstart_total`` moves: worker-side increments would
-    be lost across a process pool and double-counted in-thread, so the
-    counter follows the obs dict home instead.
+    Stamps what only the parent knows (``index``, ``key``,
+    ``trace_id``), folds the worker's fault events into the
+    process-global metrics, applies its warm-start telemetry, stores a
+    freshly computed outcome (with the job's staged corpus record), and
+    re-emits the worker's spans into ``sink``.  :func:`run_one`,
+    :func:`run_campaign` and the sizing service all settle here; cache
+    replays carry no ``obs`` and are only stamped.
+
+    This is the single place ``repro_warmstart_total`` moves:
+    worker-side increments would be lost across a process pool and
+    double-counted in-thread, so the counter follows the obs dict home.
     """
-    warm_obs = (obs or {}).get("warm")
-    if not warm_obs:
-        return outcome, None
-    blob = warm_obs.pop("blob", None)
-    record_warm_outcome(warm_obs)
+    obs = obs or {}
+    observe_faults(get_registry(), obs.get("faults"))
+    warm = dict(obs.get("warm") or {})
+    warm_blob = warm.pop("blob", None)
+    record_warm_outcome(warm)
     outcome = replace(
         outcome,
-        warm_hit=bool(warm_obs.get("hit")),
-        warm_seeded=bool(warm_obs.get("seeded")),
-        warm_fallback=bool(warm_obs.get("fallback")),
+        index=index,
+        key=key,
+        trace_id=trace_id,
+        warm_hit=bool(warm.get("hit")),
+        warm_seeded=bool(warm.get("seeded")),
+        warm_fallback=bool(warm.get("fallback")),
     )
-    return outcome, blob
+    store_outcome(outcome, cache, warm=warm_blob)
+    if sink is not None:
+        sink.emit_many(obs.get("spans") or ())
+    return outcome
 
 
 _UNRESOLVED = object()  # sentinel: run_one must compute the key itself
@@ -936,19 +984,18 @@ def run_one(
     key: str | None | object = _UNRESOLVED,
     warm: str | None = None,
 ) -> JobOutcome:
-    """Run a single job in this process: probe, execute, store.
+    """Run a single job in this process: probe, execute, settle.
 
-    The one-job counterpart of :func:`run_campaign`, and the execution
-    path the sizing service (:mod:`repro.service`) shares with the
-    campaign loop: cache probe first, then :func:`pool_entry` (failure
-    isolation + wall-time budget), then the cache write — so a service
-    request and a campaign job with the same fingerprint produce (and
-    reuse) the identical cache entry.
+    The one-job counterpart of :func:`run_campaign`: cache probe first,
+    then :func:`pool_entry` (failure isolation + wall-time budget),
+    then :func:`settle` (cache write, telemetry, spans into the active
+    trace) — so a one-off run and a campaign job with the same
+    fingerprint produce (and reuse) the identical cache entry.
 
-    ``key`` may be passed in by callers that already computed it (the
-    service does, to log it); by default it is derived here, and a job
-    whose circuit token cannot resolve simply executes uncached and
-    fails in isolation, exactly like a campaign job would.
+    ``key`` may be passed in by callers that already computed it; by
+    default it is derived here, and a job whose circuit token cannot
+    resolve simply executes uncached and fails in isolation, exactly
+    like a campaign job would.
 
     ``warm`` is an optional warm-corpus backend spec string (see
     :func:`pool_entry`); cache hits never probe the corpus.
@@ -956,29 +1003,18 @@ def run_one(
     if key is _UNRESOLVED:
         key = campaign_keys([job], cache)[0]
     ctx = current_trace()
-    hit = probe_cache(job, key, cache, index=index)
-    if hit is not None:
-        if ctx is not None:
-            hit = replace(hit, trace_id=ctx.trace_id)
-        return hit
-    status, payload, error, wall, obs = pool_entry(
-        job, timeout, current_carrier(), warm
-    )
-    emit_obs(obs)
-    outcome = JobOutcome(
+    outcome, obs = probe_cache(job, key, cache), None
+    if outcome is None:
+        outcome, obs = pool_entry(job, timeout, current_carrier(), warm)
+    return settle(
+        outcome,
+        obs,
+        cache,
         index=index,
-        job=job,
         key=key,
-        status=status,
-        cached=False,
-        wall_seconds=wall,
-        payload=payload,
-        error=error,
         trace_id=ctx.trace_id if ctx is not None else None,
+        sink=ctx.sink if ctx is not None else None,
     )
-    outcome, warm_blob = apply_warm(outcome, obs)
-    store_outcome(outcome, cache, warm=warm_blob)
-    return outcome
 
 
 def campaign_keys(
@@ -1040,8 +1076,8 @@ def run_campaign(
     telemetry differs.
 
     ``trace_sink`` enables tracing: every job gets its own trace id
-    and a root ``job`` span; worker-side spans ship back through the
-    result tuples and land in the sink (the run directory's
+    and a root ``job`` span; worker-side spans ship back in each
+    worker's ``obs`` blob and land in the sink (the run directory's
     ``trace.jsonl``) as children of that root.  Payloads, cache
     entries and the run digest are byte-identical with tracing on or
     off.
@@ -1079,40 +1115,39 @@ def run_campaign(
         trace_id, root_id = trace_ids[index]
         return {"trace_id": trace_id, "parent_id": root_id}
 
-    def finish(outcome: JobOutcome, obs: dict | None = None) -> None:
-        observe_faults(get_registry(), (obs or {}).get("faults"))
-        outcome, warm_blob = apply_warm(outcome, obs)
+    def finish(
+        index: int, key: str | None, outcome: JobOutcome, obs: dict | None = None
+    ) -> None:
+        trace_id, root_id = trace_ids.get(index, (None, None))
+        outcome = settle(
+            outcome, obs, cache,
+            index=index, key=key, trace_id=trace_id, sink=trace_sink,
+        )
         if tracing:
-            trace_id, root_id = trace_ids[outcome.index]
-            outcome = replace(outcome, trace_id=trace_id)
-            records = list((obs or {}).get("spans") or ())
-            records.append({
-                "type": "span",
-                "trace": trace_id,
-                "id": root_id,
-                "parent": None,
-                "name": "job",
-                "ts": time.time() - outcome.wall_seconds,
-                "duration_s": outcome.wall_seconds,
-                "attrs": {
-                    "index": outcome.index,
+            trace_sink.emit(span_record(
+                trace_id,
+                root_id,
+                None,
+                "job",
+                time.time() - outcome.wall_seconds,
+                outcome.wall_seconds,
+                {
+                    "index": index,
                     "label": outcome.job.label(),
                     "status": outcome.status,
                     "cached": outcome.cached,
                 },
-            })
-            trace_sink.emit_many(records)
-        slots[outcome.index] = outcome
-        store_outcome(outcome, cache, warm=warm_blob)
+            ))
+        slots[index] = outcome
         if on_outcome is not None:
             on_outcome(outcome)
 
     pending: list[tuple[int, Job, str | None]] = []
     for index, job in enumerate(job_list):
         key = keys[index]
-        hit = probe_cache(job, key, cache, index=index)
+        hit = probe_cache(job, key, cache)
         if hit is not None:
-            finish(hit)
+            finish(index, key, hit)
         else:
             pending.append((index, job, key))
 
@@ -1124,44 +1159,20 @@ def run_campaign(
     if batch and pending:
         groups, pending = batch_groups(pending)
         for group in groups:
-            raws = batch_entry(
+            pairs = batch_entry(
                 [job for _, job, _ in group],
                 timeout,
                 traces=[carrier_for(index) for index, _, _ in group],
                 faults=fault_args,
             )
-            for (index, job, key), raw in zip(group, raws):
-                status, payload, error, wall, batched_seconds, obs = raw
-                finish(JobOutcome(
-                    index=index,
-                    job=job,
-                    key=key,
-                    status=status,
-                    cached=False,
-                    wall_seconds=wall,
-                    payload=payload,
-                    error=error,
-                    # batched_seconds == 0.0 marks a per-job fallback:
-                    # that outcome was not produced by the stacked call.
-                    batch_size=len(group) if batched_seconds > 0.0 else 0,
-                    batched_seconds=batched_seconds,
-                ), obs)
+            for (index, _job, key), (outcome, obs) in zip(group, pairs):
+                finish(index, key, outcome, obs)
 
     if pending and jobs <= 1:
         for index, job, key in pending:
-            status, payload, error, wall, obs = pool_entry(
+            finish(index, key, *pool_entry(
                 job, timeout, carrier_for(index), warm_corpus
-            )
-            finish(JobOutcome(
-                index=index,
-                job=job,
-                key=key,
-                status=status,
-                cached=False,
-                wall_seconds=wall,
-                payload=payload,
-                error=error,
-            ), obs)
+            ))
     elif pending:
         queue_items = list(pending)
         restarts = 0
@@ -1184,7 +1195,7 @@ def run_campaign(
                         index, job, key = futures[future]
                         obs = None
                         try:
-                            status, payload, error, wall, obs = future.result()
+                            outcome, obs = future.result()
                         except BrokenExecutor:
                             # A worker died (SIGKILL, OOM, injected
                             # kill): every in-flight job's future breaks
@@ -1193,18 +1204,8 @@ def run_campaign(
                             broken.append((index, job, key))
                             continue
                         except Exception as exc:
-                            status, payload, wall = "failed", None, 0.0
-                            error = f"{type(exc).__name__}: {exc}"
-                        finish(JobOutcome(
-                            index=index,
-                            job=job,
-                            key=key,
-                            status=status,
-                            cached=False,
-                            wall_seconds=wall,
-                            payload=payload,
-                            error=error,
-                        ), obs)
+                            outcome = pool_failure(job, exc)
+                        finish(index, key, outcome, obs)
             if not broken:
                 break
             # A worker killed between its cache put and returning may
@@ -1212,22 +1213,17 @@ def run_campaign(
             # so the crash-resume replays instead of recomputing.
             queue_items = []
             for index, job, key in sorted(broken):
-                hit = probe_cache(job, key, cache, index=index)
+                hit = probe_cache(job, key, cache)
                 if hit is not None:
-                    finish(hit)
+                    finish(index, key, hit)
                 else:
                     queue_items.append((index, job, key))
             restarts += 1
             if queue_items and restarts >= MAX_POOL_RESTARTS:
                 for index, job, key in queue_items:
-                    finish(JobOutcome(
-                        index=index,
+                    finish(index, key, JobOutcome(
                         job=job,
-                        key=key,
                         status="failed",
-                        cached=False,
-                        wall_seconds=0.0,
-                        payload=None,
                         error=(
                             f"worker process died repeatedly; gave up "
                             f"after {restarts} pool restarts"

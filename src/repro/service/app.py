@@ -16,13 +16,16 @@ hits.
 Concurrency model: with ``jobs=1`` and no per-job timeout (the
 default) requests execute on one dedicated worker *thread* —
 serialized, deterministic, and cheap to start, which is what the
-tests use.  With ``jobs>1`` — or whenever a ``timeout`` is configured,
-since the ``SIGALRM`` budget can only be armed on a process's main
-thread — they run on a ``ProcessPoolExecutor``
-(``forkserver``/``spawn`` start method, so the threaded HTTP parent
-never fork-copies its own locks), giving true parallel sizing bounded
-at ``jobs`` workers.  In both cases the HTTP layer may accept
-arbitrarily many concurrent requests; the pool is the backpressure.
+tests use.  With ``jobs>1`` — or whenever a ``timeout`` is configured
+— they run on a ``ProcessPoolExecutor`` (``forkserver``/``spawn``
+start method, so the threaded HTTP parent never fork-copies its own
+locks), giving true parallel sizing bounded at ``jobs`` workers.  A
+timeout wants a process because a pool process runs the job on its
+main thread, where the ``SIGALRM`` budget can interrupt even a wedged
+C call; on a thread only the watchdog budget is available, which
+gives up waiting but cannot stop the computation.  In both cases the
+HTTP layer may accept arbitrarily many concurrent requests; the pool
+is the backpressure.
 
 Fleet mode: given a ``queue`` database
 (:class:`~repro.service.queue.WorkQueue`), this service becomes one
@@ -42,8 +45,9 @@ the Prometheus exposition at ``/v1/metrics`` are two views over the
 same registry, so they can never disagree.  With tracing enabled
 (default), each request runs in a trace context: submission spans
 (``service.admit``, ``cache.probe``) land in the run directory's
-``trace.jsonl``, worker-side solver spans ship back through the result
-tuples, and in queue mode the row carries ``trace_id-root_span_id``
+``trace.jsonl``, worker-side solver spans ship back in the ``obs``
+blob beside each worker's :class:`~repro.runner.executor.JobOutcome`,
+and in queue mode the row carries ``trace_id-root_span_id``
 so whichever replica drains the job parents its ``queue.wait`` and
 execution spans under the submitter's root — one trace id end to end.
 """
@@ -73,7 +77,6 @@ from repro.circuit.bench_io import loads_bench
 from repro.errors import ReproError, ServiceError
 from repro.faults.injector import active as active_faults
 from repro.faults.injector import install as install_faults
-from repro.faults.injector import observe_faults
 from repro.obs.metrics import MetricsRegistry, get_registry, observe_spans
 from repro.obs.trace import (
     SpanSink,
@@ -82,6 +85,7 @@ from repro.obs.trace import (
     format_trace_header,
     new_span_id,
     span,
+    span_record,
     trace_scope,
 )
 from repro.runner import DEFAULT_CACHE_DIR
@@ -89,12 +93,12 @@ from repro.runner.cache import ResultCache, job_key, netlist_digest
 from repro.runner.corpus import warmstart_counts
 from repro.runner.executor import (
     JobOutcome,
-    apply_warm,
     batch_entry,
     batch_groups,
     pool_entry,
+    pool_failure,
     probe_cache,
-    store_outcome,
+    settle,
 )
 from repro.runner.spec import Job, normalize_options
 from repro.service.admission import AdmissionController
@@ -400,9 +404,10 @@ class SizingService:
     @staticmethod
     def _make_pool(jobs: int, timeout: float | None):
         if jobs == 1 and timeout is None:
-            # A timeout forces the process pool below: the SIGALRM
-            # budget in pool_entry only arms on a main thread, so on a
-            # worker *thread* it would be silently unenforced.
+            # A timeout forces the process pool below: pool processes
+            # run jobs on their main thread, where the SIGALRM budget
+            # can interrupt a wedged C call.  On a worker *thread* only
+            # the watchdog budget arms, and it cannot stop the call.
             return ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-service-worker"
             )
@@ -563,33 +568,30 @@ class SizingService:
         outcome: JobOutcome,
         obs: dict | None = None,
     ) -> JobRecord:
-        """Store + account one freshly executed outcome.
+        """Settle, account and publish one freshly executed outcome.
 
-        All counters go through the metrics registry — ``/v1/stats``
-        and ``/v1/metrics`` read the identical cells.  ``obs`` is the
-        worker-side span bundle shipped back in the result tuple; its
-        spans are folded into the phase-seconds metrics and appended to
-        this replica's ``trace.jsonl``.  Warm-corpus telemetry rides
-        the same bundle: :func:`~repro.runner.executor.apply_warm`
-        moves the ``repro_warmstart_total`` counter (parent-side, like
-        the campaign driver) and hands back the job's staged corpus
-        record, stored alongside the cache entry.
+        :func:`~repro.runner.executor.settle` stamps the record's key
+        and trace id, folds fault and warm-corpus telemetry, stores the
+        result and appends the worker's spans to this replica's
+        ``trace.jsonl``.  The counters here all go through the metrics
+        registry — ``/v1/stats`` and ``/v1/metrics`` read the identical
+        cells — and the spans also fold into the phase-seconds metrics.
         """
-        observe_faults(get_registry(), (obs or {}).get("faults"))
-        outcome, warm_blob = apply_warm(outcome, obs)
-        store_outcome(outcome, self.cache, warm=warm_blob)
+        outcome = settle(
+            outcome,
+            obs,
+            self.cache,
+            key=record.key,
+            trace_id=record.trace_id,
+            sink=self.trace_sink,
+        )
+        observe_spans(self.metrics, (obs or {}).get("spans"))
         self.admission.observe_drain(outcome.wall_seconds)
         self._m_executed.inc()
         self._m_finished.inc(status=outcome.status)
-        self._m_job_seconds.observe(
-            outcome.duration_s
-            if outcome.duration_s is not None
-            else outcome.wall_seconds,
-            kind=outcome.job.kind,
-        )
+        self._m_job_seconds.observe(outcome.duration_s, kind=outcome.job.kind)
         if outcome.batch_size:
             self._m_batched.inc()
-            self._m_batch_size.observe(outcome.batch_size)
         for name, stats in (
             (outcome.payload or {}).get("flow_stats") or {}
         ).items():
@@ -598,45 +600,18 @@ class SizingService:
                     value, bool
                 ):
                     self._m_flow.add(value, backend=name, field=field_name)
-        spans = (obs or {}).get("spans") or ()
-        if spans:
-            observe_spans(self.metrics, spans)
-            if self.trace_sink is not None:
-                self.trace_sink.emit_many(spans)
         return self.store.finish(record.id, outcome)
 
-    def _outcome_from(
-        self, record: JobRecord, raw: tuple, batch: int = 0
-    ) -> tuple[JobOutcome, dict | None]:
-        """Build ``(JobOutcome, obs)`` from a worker's raw tuple.
-
-        Accepts the 5-tuple of :func:`pool_entry` ``(status, payload,
-        error, wall, obs)`` and the 6-tuple of :func:`batch_entry`
-        (whose fifth element is the shared stacked-solve time; 0.0
-        there marks a per-job fallback, reported as unbatched).  Legacy
-        4-tuples — locally built error raws — still parse.
-        """
-        status, payload, error, wall = raw[:4]
-        if len(raw) >= 6:
-            batched_seconds, obs = raw[4], raw[5]
-        elif len(raw) == 5:
-            batched_seconds, obs = 0.0, raw[4]
-        else:
-            batched_seconds, obs = 0.0, None
-        outcome = JobOutcome(
-            index=0,
-            job=record.job,
-            key=record.key,
-            status=status,
-            cached=False,
-            wall_seconds=wall,
-            payload=payload,
-            error=error,
-            batch_size=batch if batched_seconds > 0.0 else 0,
-            batched_seconds=batched_seconds,
-            trace_id=record.trace_id,
-        )
-        return outcome, obs
+    def _execute(self, record: JobRecord, carrier: dict | None) -> JobRecord:
+        """Run one record through :func:`pool_entry` and finish it."""
+        try:
+            outcome, obs = self._run_pooled(
+                pool_entry, record.job, self.timeout, carrier,
+                self.warm_corpus, self._fault_args(),
+            )
+        except Exception as exc:  # pool broke twice under this job
+            outcome, obs = pool_failure(record.job, exc), None
+        return self._finish(record, outcome, obs)
 
     def size_sync(self, body: dict, client: str | None = None) -> JobRecord:
         """Handle a synchronous ``/v1/size``: block until the job is done.
@@ -656,15 +631,7 @@ class SizingService:
             if self.queue_path is not None:
                 return self._await_queued(record)
             self.store.mark_running(record.id)
-            try:
-                raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, self._carrier(),
-                    self.warm_corpus, self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            return self._finish(record, outcome, obs)
+            return self._execute(record, self._carrier())
 
     def _await_queued(self, record: JobRecord) -> JobRecord:
         """Wait (bounded) for the shared queue to finish a job."""
@@ -695,14 +662,13 @@ class SizingService:
         self.store.mark_running(record.id)
 
         def _done(done_future: Future) -> None:
+            obs = None
             try:
-                raw = done_future.result()
-            except BrokenExecutor as exc:  # worker died under this job
-                self._rebuild_pool(pool)
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            except Exception as exc:  # pool broke under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
+                outcome, obs = done_future.result()
+            except Exception as exc:  # worker died / pool broke under it
+                if isinstance(exc, BrokenExecutor):
+                    self._rebuild_pool(pool)
+                outcome = pool_failure(record.job, exc)
             self._finish(record, outcome, obs)
 
         future.add_done_callback(_done)
@@ -716,50 +682,36 @@ class SizingService:
         """The current trace carrier to ship across the pool boundary."""
         return current_carrier() if self.trace else None
 
-    def _resume_trace(
-        self, record: JobRecord
-    ) -> tuple[str | None, str | None]:
+    def _resume_trace(self, record: JobRecord) -> dict | None:
         """Resume a leased job's trace: parse its ref, emit queue-wait.
 
         The row's ``trace_id-root_span_id`` ref was allocated by the
         *submitting* replica; this (draining) replica parents all its
-        spans under that root.  The queue-wait span spans enqueue to
-        lease on the wall clock (clamped at zero — the two ends may be
-        observed by different hosts).
+        spans under that root.  Returns the carrier to execute the job
+        under (None without a trace).  The queue-wait span spans
+        enqueue to lease on the wall clock (clamped at zero — the two
+        ends may be observed by different hosts).
         """
         ref = record.trace if self.trace else None
         tid, _, root = (ref or "").partition("-")
         if not tid or not root:
-            return None, None
-        wait = {
-            "type": "span",
-            "trace": tid,
-            "id": new_span_id(),
-            "parent": root,
-            "name": "queue.wait",
-            "ts": record.created_at,
-            "duration_s": max(0.0, time.time() - record.created_at),
-            "attrs": {"job": record.id, "worker": self.worker_id},
-        }
+            return None
+        wait = span_record(
+            tid,
+            new_span_id(),
+            root,
+            "queue.wait",
+            record.created_at,
+            max(0.0, time.time() - record.created_at),
+            {"job": record.id, "worker": self.worker_id},
+        )
         observe_spans(self.metrics, [wait])
         if self.trace_sink is not None:
             self.trace_sink.emit(wait)
-        return tid, root
-
-    def _drain_scope(self, tid: str | None, root: str | None):
-        """A trace scope for one drained job (no-op without a trace)."""
-        if tid is None:
-            return nullcontext()
-        return trace_scope(
-            sink=self.trace_sink, trace_id=tid, parent_id=root
-        )
+        return {"trace_id": tid, "parent_id": root}
 
     def _emit_root(
-        self,
-        record: JobRecord,
-        finished: JobRecord,
-        tid: str | None,
-        root: str | None,
+        self, record: JobRecord, finished: JobRecord, carrier: dict | None
     ) -> None:
         """Emit a queue-mode job's lifecycle root span, post-finish.
 
@@ -767,167 +719,112 @@ class SizingService:
         queue-wait and execution children always sum to at most its
         duration (both are clamped the same way).
         """
-        if tid is None or root is None or self.trace_sink is None:
+        if carrier is None or self.trace_sink is None:
             return
         finished_at = finished.finished_at or time.time()
-        self.trace_sink.emit({
-            "type": "span",
-            "trace": tid,
-            "id": root,
-            "parent": None,
-            "name": "job",
-            "ts": record.created_at,
-            "duration_s": max(0.0, finished_at - record.created_at),
-            "attrs": {
+        self.trace_sink.emit(span_record(
+            carrier["trace_id"],
+            carrier["parent_id"],
+            None,
+            "job",
+            record.created_at,
+            max(0.0, finished_at - record.created_at),
+            {
                 "job": record.id,
                 "label": record.job.label(),
                 "status": finished.status,
                 "cached": finished.cached,
                 "worker": self.worker_id,
             },
-        })
-
-    def _drain_one(self, record: JobRecord) -> None:
-        """Probe, execute and publish one leased record (trace-aware)."""
-        tid, root = self._resume_trace(record)
-        with self._drain_scope(tid, root):
-            with span("cache.probe") as probe_span:
-                hit = probe_cache(record.job, record.key, self.cache)
-                probe_span.set(hit=hit is not None)
-            if hit is not None:
-                self._m_cache_hits.inc()
-                if tid is not None:
-                    hit = replace(hit, trace_id=tid)
-                finished = self.store.finish(record.id, hit)
-                self._emit_root(record, finished, tid, root)
-                return
-            try:
-                raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, self._carrier(),
-                    self.warm_corpus, self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            finished = self._finish(record, outcome, obs)
-        self._emit_root(record, finished, tid, root)
+        ))
 
     def _drain_loop(self) -> None:
-        """One drain worker: lease → probe → execute → publish, forever.
+        """One drain worker: lease → probe → execute → publish, forever."""
+        while not self._stop.is_set():
+            if not self._drain_round():
+                self._stop.wait(0.05)
+
+    def _drain_round(self) -> bool:
+        """One drain round; True when any work was claimed.
+
+        Leases one record — or up to ``batch_drain`` records, fusing
+        the batchable ones (grouped by
+        :func:`~repro.runner.executor.batch_groups`) into stacked
+        kernel calls.  Each group is *one* pool task, so a fleet
+        replica amortizes pool round-trips exactly like ``campaign run
+        --batch`` amortizes kernel invocations.  Everything else runs
+        through :func:`pool_entry` as usual.
 
         Every leased job is re-probed against the cache first — another
         replica may have finished an identical job between enqueue and
         lease, and the probe also settles the benign race where a
         cache-hit row is leased before its submitter finishes it.
         """
-        while not self._stop.is_set():
-            if self.batch_drain:
-                if not self._drain_batched():
-                    self._stop.wait(0.05)
-                continue
+        records: list[JobRecord] = []
+        while len(records) < (self.batch_drain or 1):
             try:
                 record = self.store.lease(self.worker_id)
             except Exception:  # noqa: BLE001 — a busy/locked DB must not
                 record = None  # kill the drain thread; retry shortly
             if record is None:
-                self._stop.wait(0.05)
-                continue
-            self._drain_one(record)
-
-    def _drain_batched(self) -> bool:
-        """One batched drain round; True when any work was claimed.
-
-        Leases up to ``batch_drain`` records, replays cache hits, and
-        fuses the batchable remainder (grouped by
-        :func:`~repro.runner.executor.batch_groups`) into stacked
-        kernel calls — each group is *one* pool task, so a fleet
-        replica amortizes pool round-trips exactly like ``campaign run
-        --batch`` amortizes kernel invocations.  Leftover
-        (non-batchable) leases run through :func:`pool_entry` as usual.
-        """
-        records: list[JobRecord] = []
-        while len(records) < self.batch_drain:
-            try:
-                record = self.store.lease(self.worker_id)
-            except Exception:  # noqa: BLE001 — busy DB: stop leasing
-                record = None
-            if record is None:
                 break
             records.append(record)
         if not records:
             return False
-        live: list[JobRecord] = []
-        carriers: list[dict | None] = []
+        live: list[tuple[JobRecord, dict | None]] = []
         for record in records:
-            tid, root = self._resume_trace(record)
-            with self._drain_scope(tid, root):
+            carrier = self._resume_trace(record)
+            scope = (
+                nullcontext()
+                if carrier is None
+                else trace_scope(
+                    sink=self.trace_sink,
+                    trace_id=carrier["trace_id"],
+                    parent_id=carrier["parent_id"],
+                )
+            )
+            with scope:
                 with span("cache.probe") as probe_span:
                     hit = probe_cache(record.job, record.key, self.cache)
                     probe_span.set(hit=hit is not None)
-            if hit is not None:
-                self._m_cache_hits.inc()
-                if tid is not None:
-                    hit = replace(hit, trace_id=tid)
-                finished = self.store.finish(record.id, hit)
-                self._emit_root(record, finished, tid, root)
-            else:
-                live.append(record)
-                carriers.append(
-                    {"trace_id": tid, "parent_id": root}
-                    if tid is not None
-                    else None
-                )
+            if hit is None:
+                live.append((record, carrier))
+                continue
+            self._m_cache_hits.inc()
+            if carrier is not None:
+                hit = replace(hit, trace_id=carrier["trace_id"])
+            finished = self.store.finish(record.id, hit)
+            self._emit_root(record, finished, carrier)
         items = [
-            (pos, record.job, record.key) for pos, record in enumerate(live)
+            (pos, record.job, record.key)
+            for pos, (record, _carrier) in enumerate(live)
         ]
-        groups, rest = batch_groups(items)
+        groups, rest = batch_groups(items) if self.batch_drain else ([], items)
         for group in groups:
             members = [live[pos] for pos, _job, _key in group]
-            traces = [carriers[pos] for pos, _job, _key in group]
             try:
-                raws = self._run_pooled(
+                pairs = self._run_pooled(
                     batch_entry,
-                    [r.job for r in members],
+                    [record.job for record, _carrier in members],
                     self.timeout,
-                    traces,
+                    [carrier for _record, carrier in members],
                     self._fault_args(),
                 )
             except Exception as exc:  # pool broke twice under this batch
-                raws = [
-                    (
-                        "failed", None, f"{type(exc).__name__}: {exc}",
-                        0.0, 0.0, None,
-                    )
-                ] * len(members)
-            for record, carrier, raw in zip(members, traces, raws):
-                outcome, obs = self._outcome_from(
-                    record, raw, batch=len(members)
-                )
+                pairs = [
+                    (pool_failure(record.job, exc), None)
+                    for record, _carrier in members
+                ]
+            fused = max(outcome.batch_size for outcome, _obs in pairs)
+            if fused:
+                # One sample per stacked solve, not one per member.
+                self._m_batch_size.observe(fused)
+            for (record, carrier), (outcome, obs) in zip(members, pairs):
                 finished = self._finish(record, outcome, obs)
-                self._emit_root(
-                    record,
-                    finished,
-                    carrier["trace_id"] if carrier else None,
-                    carrier["parent_id"] if carrier else None,
-                )
+                self._emit_root(record, finished, carrier)
         for pos, _job, _key in rest:
-            record = live[pos]
-            carrier = carriers[pos]
-            try:
-                raw = self._run_pooled(
-                    pool_entry, record.job, self.timeout, carrier,
-                    self.warm_corpus, self._fault_args(),
-                )
-            except Exception as exc:  # pool broke twice under this job
-                raw = ("failed", None, f"{type(exc).__name__}: {exc}", 0.0)
-            outcome, obs = self._outcome_from(record, raw)
-            finished = self._finish(record, outcome, obs)
-            self._emit_root(
-                record,
-                finished,
-                carrier["trace_id"] if carrier else None,
-                carrier["parent_id"] if carrier else None,
-            )
+            record, carrier = live[pos]
+            self._emit_root(record, self._execute(record, carrier), carrier)
         return True
 
     def get_job(self, job_id: str) -> tuple[JobRecord, dict | None]:
@@ -1077,7 +974,11 @@ class SizingService:
             "batched_jobs": batched_jobs,
             "executor": {
                 "workers": self.jobs,
-                "kind": "thread" if self.jobs == 1 else "process",
+                "kind": (
+                    "thread"
+                    if isinstance(self._pool, ThreadPoolExecutor)
+                    else "process"
+                ),
                 "timeout": self.timeout,
                 "batch_drain": self.batch_drain,
                 "warm_corpus": self.warm_corpus,

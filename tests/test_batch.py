@@ -260,6 +260,8 @@ class TestFailureIsolation:
         by_index = {o.index: o for o in batched.outcomes}
         assert "no-such-circuit" in by_index[1].error
         assert by_index[1].batch_size == 0  # failed before the solve
+        # The stacked solve fused the two survivors, not all three.
+        assert by_index[0].batch_size == by_index[2].batch_size == 2
         for a, b in zip(loop.outcomes, batched.outcomes):
             _payload_parity(a, b)
 
@@ -453,6 +455,14 @@ class TestServiceBatchDrain:
             stats = service.stats()
             assert stats["executor"]["batch_drain"] == 8
             assert stats["batched_jobs"] >= 2
+            # repro_batch_size takes one sample per stacked solve, so
+            # its sum counts each batched job exactly once.
+            sums = [
+                float(line.rpartition(" ")[2])
+                for line in service.metrics_text().splitlines()
+                if line.startswith("repro_batch_size_sum")
+            ]
+            assert sums == [float(stats["batched_jobs"])]
         finally:
             service.close()
 

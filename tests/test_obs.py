@@ -125,9 +125,10 @@ class TestPoolBoundary:
             max_workers=1,
             mp_context=multiprocessing.get_context(method),
         ) as pool:
-            status, _payload, error, wall, obs = pool.submit(
+            outcome, obs = pool.submit(
                 pool_entry, job, None, carrier
             ).result()
+        status, error, wall = outcome.status, outcome.error, outcome.wall_seconds
         assert status == "ok", error
         spans = obs["spans"]
         assert spans, "worker shipped no spans back"
@@ -145,8 +146,8 @@ class TestPoolBoundary:
 
     def test_pool_entry_without_carrier_ships_nothing(self):
         job = Job(circuit="rca:4", delay_spec=1.5, kind="wphase")
-        status, _payload, _error, _wall, obs = pool_entry(job, None, None)
-        assert status == "ok"
+        outcome, obs = pool_entry(job, None, None)
+        assert outcome.status == "ok"
         assert obs is None
 
 

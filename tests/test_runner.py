@@ -211,9 +211,13 @@ class TestExecutor:
         jobs = [
             Job(circuit="c17", delay_spec=0.8),
             Job(circuit="definitely-not-a-circuit", delay_spec=0.5),
+            # Transistor-mode phases on a macro-cell circuit maps it to
+            # primitives first, like the sizing and wphase kinds.
+            Job(circuit="rca:4", delay_spec=0.8, kind="phases",
+                mode="transistor"),
         ]
         result = run_campaign(jobs, jobs=1)
-        assert [o.status for o in result.outcomes] == ["ok", "failed"]
+        assert [o.status for o in result.outcomes] == ["ok", "failed", "ok"]
         assert "definitely-not-a-circuit" in result.outcomes[1].error
         assert result.n_failed == 1
 

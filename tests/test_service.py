@@ -139,6 +139,7 @@ class TestTransport:
         )
         try:
             assert not isinstance(service._pool, TPE)
+            assert service.stats()["executor"]["kind"] == "process"
         finally:
             service.close()
 
