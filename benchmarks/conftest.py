@@ -4,9 +4,15 @@ Tier control: set ``REPRO_BENCH_TIER=paper`` to run all twelve Table 1
 rows and the real c6288 figure panel; the default ``smoke`` tier keeps
 the wall-clock time of ``pytest benchmarks/ --benchmark-only`` in the
 minutes range by restricting to circuits below ~500 gates.
+
+The reference solvers live in ``tests/oracles/``; this conftest puts
+``tests/`` on ``sys.path`` so the benchmarks import them as ``oracles``.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,10 @@ from repro.generators.iscas import build_circuit
 from repro.sizing import tilos_size
 from repro.tech import default_technology
 from repro.timing import GraphTimer
+
+_TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ Builds one real D-phase LP per benchmark circuit (TILOS seed, delay
 balancing, sensitivity weights — the exact instance the sizing loop
 solves every outer iteration), times every LP engine on it — the
 array SSP engine (``ssp``), HiGHS (``scipy``) and the heapq reference
-solver (``ssp-legacy``, the oracle) — checks that all of them agree on
-the objective, and emits a machine-readable ``BENCH_flow.json``.
+solver (``ssp-legacy``, the test oracle in ``tests/oracles/ssp.py``) —
+checks that all of them agree on the objective, and emits a
+machine-readable ``BENCH_flow.json``.
 
 The JSON is the seed point of the perf trajectory: CI re-runs this
 script on the smoke tier and ``check_regression.py`` compares the
@@ -36,7 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests"))
+
+from oracles.ssp import solve_lp_ssp_reference  # noqa: E402
 
 from repro.balancing import balance  # noqa: E402
 from repro.dag import build_sizing_dag  # noqa: E402
@@ -44,7 +49,6 @@ from repro.flow.arrayssp import solve_lp_ssp  # noqa: E402
 from repro.flow.duality import DifferenceConstraintLP  # noqa: E402
 from repro.flow.registry import timed_solve  # noqa: E402
 from repro.flow.scipy_backend import solve_lp_scipy  # noqa: E402
-from repro.flow.ssp import solve_lp_ssp_reference  # noqa: E402
 from repro.generators.iscas import build_circuit  # noqa: E402
 from repro.sizing import tilos_size  # noqa: E402
 from repro.sizing.dphase import (  # noqa: E402

@@ -13,12 +13,12 @@ is run_flow_bench.py in this directory.
 from __future__ import annotations
 
 import pytest
+from oracles.ssp import solve_lp_ssp_reference
 
 from benchmarks.conftest import get_context
 from repro.balancing import balance
 from repro.flow.arrayssp import solve_lp_ssp
 from repro.flow.scipy_backend import solve_lp_scipy
-from repro.flow.ssp import solve_lp_ssp_reference
 from repro.sizing import d_phase
 
 _ENGINES = {

@@ -9,10 +9,11 @@ clean-up, and cross-validates against an independent exact method.
 from __future__ import annotations
 
 import pytest
+from oracles.lagrangian import lagrangian_size
+from oracles.recovery import greedy_downsize
 
 from benchmarks.conftest import get_context, once
-from repro.sizing import lagrangian_size, minflotransit
-from repro.sizing.recovery import greedy_downsize
+from repro.sizing import minflotransit
 
 _AREAS: dict[str, float] = {}
 

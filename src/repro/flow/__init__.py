@@ -6,7 +6,6 @@ from repro.flow.arrayssp import (
     basis_from_solution,
     solve_ssp_array,
 )
-from repro.flow.arrayssp import solve_ssp_array as solve_ssp
 from repro.flow.duality import (
     SSP_MAX_CONSTRAINTS,
     DifferenceConstraintLP,
@@ -17,12 +16,7 @@ from repro.flow.duality import (
     solve_difference_lp,
 )
 from repro.flow.network import Arc, FlowProblem, FlowSolution
-from repro.flow.registry import (
-    SolveStats,
-    reset_solver_statistics,
-    solver_statistics,
-)
-from repro.flow.verify import check_flow_feasible, check_flow_optimal
+from repro.flow.registry import SolveStats, stats_scope
 
 __all__ = [
     "Arc",
@@ -36,13 +30,9 @@ __all__ = [
     "SolveStats",
     "WarmStartBasis",
     "basis_from_solution",
-    "check_flow_feasible",
-    "check_flow_optimal",
     "ground_flow",
     "integerize_values",
-    "reset_solver_statistics",
     "solve_difference_lp",
-    "solve_ssp",
     "solve_ssp_array",
-    "solver_statistics",
+    "stats_scope",
 ]

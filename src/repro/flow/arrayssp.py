@@ -1,8 +1,8 @@
 """Array-based successive-shortest-path min-cost flow engine.
 
 This is the library's native D-phase solver, replacing the list-of-lists
-``heapq`` implementation kept in :mod:`repro.flow.ssp` as
-``solve_ssp_reference``.  Three design decisions give it its speed on
+``heapq`` implementation that survives as the test oracle
+``tests/oracles/ssp.py``.  Three design decisions give it its speed on
 the shallow, DAG-shaped instances the D-phase produces:
 
 * **CSR-style arc arrays.**  The residual graph lives in flat numpy
@@ -48,14 +48,17 @@ problem instead of scratch:
 3. a Bellman-Ford sweep repairs any negative reduced costs the cost
    drift introduced (a residual negative cycle — possible when another
    path got much cheaper — aborts the warm path and falls back to a
-   cold solve, so warm starts can never change the answer),
+   cold solve),
 4. successive shortest paths then route only the remaining *imbalance*
    between the fitted flow's divergence and the new supplies.
 
 Starting from a reduced-cost-optimal pseudoflow keeps the SSP
-invariant, so the warm result is exactly optimal — the only thing that
-changes is how much flow remains to push (``SolveStats.supply_routed``
-vs the cold total), which is where the augmentation savings come from.
+invariant, so the warm result is exactly optimal: its objective equals
+the cold solve's.  It need not be the same optimal vertex — when the LP
+has several optimal ``r``, the warm potentials may pick another one.
+What the warm start saves is flow left to push
+(``SolveStats.supply_routed`` vs the cold total), which is where the
+augmentation savings come from.
 """
 
 from __future__ import annotations

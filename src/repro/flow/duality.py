@@ -24,7 +24,7 @@ engines, picked by a fixed size rule:
 * larger LPs go to HiGHS on the primal LP
   (:mod:`repro.flow.scipy_backend`, ``"scipy"``).
 
-The heapq successive-shortest-path solver in :mod:`repro.flow.ssp`
+The heapq successive-shortest-path solver in ``tests/oracles/ssp.py``
 never runs here: it is the exact-integer oracle the test suite and
 the flow benchmark compare both engines against.
 
@@ -56,10 +56,13 @@ __all__ = [
 ]
 
 #: Largest LP (in constraints) solved by the native array SSP engine;
-#: anything bigger goes to HiGHS.  Measured on randomized difference
-#: LPs and smoke-tier D-phase instances (``benchmarks/run_flow_bench.py``):
-#: the array engine wins below ~100 constraints (no LP setup overhead,
-#: exact integer arithmetic, warm starts), HiGHS above.
+#: anything bigger goes to HiGHS.  The rule does not buy solve speed:
+#: on c17's D-phase LPs HiGHS is faster per solve (≈3.6–3.9 ms against
+#: ≈6.8–7.5 ms in :func:`~repro.flow.registry.timed_solve`, 377 solves
+#: per run, 2-core Xeon).  It buys a process that only sizes small
+#: circuits never importing ``scipy.optimize``: that import adds ≈18 MB
+#: of peak RSS (69 → 87 MB) and takes the first c17 job from 0.15 s to
+#: 0.3–0.4 s.  ``tests/test_dphase_lps.py`` pins that c17 never loads it.
 SSP_MAX_CONSTRAINTS = 128
 
 
@@ -206,10 +209,11 @@ def solve_difference_lp(
     At most :data:`SSP_MAX_CONSTRAINTS` constraints: the native ``ssp``
     engine, seeded with ``warm_start`` (the ``warm_basis`` of a previous
     solution of a structurally identical LP) when one is given.  Larger
-    LPs: HiGHS, always cold.  A warm start never changes the optimum,
-    only the work done to reach it.  Wall time and solver counters are
-    recorded on the returned solution (``stats``) and in the running
-    totals of :mod:`repro.flow.registry`.
+    LPs: HiGHS, always cold.  A warm start reaches exactly the cold
+    objective, but where the LP has several optimal vertices it may
+    return a different optimal ``r``.  Wall time and solver counters are
+    recorded on the returned solution (``stats``) and in every open
+    :func:`repro.flow.registry.stats_scope`.
     """
     if len(lp.constraints) <= SSP_MAX_CONSTRAINTS:
         solution = timed_solve("ssp", solve_lp_ssp, lp, warm_start=warm_start)

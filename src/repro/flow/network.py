@@ -3,8 +3,8 @@
 The D-phase of MINFLOTRANSIT is the LP dual of a min-cost flow problem
 (paper section 2.3.1, step (5)); this module holds the flow instance
 itself, independent of the solver used (:mod:`repro.flow.arrayssp`,
-the :mod:`repro.flow.ssp` oracle, or the LP route in
-:mod:`repro.flow.scipy_backend`).
+the LP route in :mod:`repro.flow.scipy_backend`, or the heapq oracle
+in ``tests/oracles/ssp.py``).
 
 Conventions: arc costs may be any finite number, capacities default to
 "uncapacitated" (``None``); ``supply[v] > 0`` means the node injects
@@ -100,13 +100,3 @@ class FlowSolution:
     #: Solver counters (populated by the native engines; see
     #: :class:`repro.flow.registry.SolveStats`).
     stats: object | None = None
-
-    def residual_arcs(self):
-        """Yield (src, dst, reduced capacity, cost) of the residual graph."""
-        for k, arc in enumerate(self.problem.arcs):
-            f = self.flow[k]
-            remaining = None if arc.capacity is None else arc.capacity - f
-            if remaining is None or remaining > 1e-12:
-                yield arc.src, arc.dst, remaining, arc.cost
-            if f > 1e-12:
-                yield arc.dst, arc.src, f, -arc.cost

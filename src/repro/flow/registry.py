@@ -1,11 +1,12 @@
-"""Flow-solver statistics: per-solve counters and running totals.
+"""Flow-solver statistics: per-solve counters collected per scope.
 
 Every solve routed through :func:`repro.flow.duality.solve_difference_lp`
 is timed by :func:`timed_solve`, which records a :class:`SolveStats`
-here.  :func:`solver_statistics` exposes the per-engine running totals
-(augmentations, relaxation work, wall time) that the CLI prints under
-``--flow-stats`` and the service exports as ``repro_flow_stat``;
-:func:`stats_scope` isolates the counters of one run.
+into every :func:`stats_scope` its thread has open.  A scope yields the
+per-engine totals (augmentations, relaxation work, wall time) of
+exactly the work it encloses; the CLI prints them under
+``--flow-stats``, and the campaign executor ships them as the payload's
+``flow_stats``, which the service exports as ``repro_flow_stat``.
 
 The module imports nothing from the rest of the flow package, so every
 engine module may import it without creating an import cycle.
@@ -13,18 +14,13 @@ engine module may import it without creating an import cycle.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
-__all__ = [
-    "SolveStats",
-    "reset_solver_statistics",
-    "solver_statistics",
-    "stats_scope",
-    "timed_solve",
-]
+__all__ = ["SolveStats", "stats_scope", "timed_solve"]
 
 
 @dataclass
@@ -70,40 +66,35 @@ class SolveStats:
         self.n_arcs = max(self.n_arcs, other.n_arcs)
 
 
-_TOTALS: dict[str, SolveStats] = {}
+class _OpenScopes(threading.local):
+    """Per-engine totals of this thread's open scopes, innermost last."""
+
+    def __init__(self) -> None:
+        self.scopes: list[dict[str, SolveStats]] = []
+
+
+_OPEN = _OpenScopes()
 
 
 def record_stats(stats: SolveStats) -> None:
-    """Fold one solve's counters into the per-engine running totals."""
-    total = _TOTALS.get(stats.backend)
-    if total is None:
-        _TOTALS[stats.backend] = replace(stats)
-    else:
-        total.merge(stats)
-
-
-def solver_statistics() -> dict[str, SolveStats]:
-    """Snapshot of per-engine totals since the last reset."""
-    return {name: replace(total) for name, total in _TOTALS.items()}
-
-
-def reset_solver_statistics() -> None:
-    """Zero the per-engine running totals."""
-    _TOTALS.clear()
+    """Fold one solve's counters into every open scope's engine total."""
+    for scope in _OPEN.scopes:
+        total = scope.get(stats.backend)
+        if total is None:
+            scope[stats.backend] = replace(stats)
+        else:
+            total.merge(stats)
 
 
 @contextmanager
 def stats_scope():
     """Collect solver statistics for exactly the enclosed work.
 
-    The module-level totals are cumulative since import, which makes
-    them wrong for any consumer that needs *per-run* numbers (the CLI's
-    ``--flow-stats``, the campaign executor's per-job telemetry): totals
-    from earlier runs in the same process would leak in.  This context
-    manager isolates a scope — the yielded dict is filled with the
-    scope's own per-engine :class:`SolveStats` on exit — and then folds
-    the scoped counters back into the outer totals so nested/global
-    accounting still adds up.
+    The yielded dict maps engine name to the :class:`SolveStats` totals
+    of every solve this thread records while the scope is open.  Scopes
+    nest: a solve inside an inner scope counts in the outer one too.
+    Outside every scope a solve still carries its own ``stats`` but is
+    not totalled anywhere.
 
     Usage::
 
@@ -111,21 +102,12 @@ def stats_scope():
             minflotransit(...)
         print(scoped)   # only this run's solves
     """
-    outer = {name: replace(total) for name, total in _TOTALS.items()}
-    _TOTALS.clear()
     scoped: dict[str, SolveStats] = {}
+    _OPEN.scopes.append(scoped)
     try:
         yield scoped
     finally:
-        scoped.update(
-            {name: replace(total) for name, total in _TOTALS.items()}
-        )
-        for name, total in outer.items():
-            mine = _TOTALS.get(name)
-            if mine is None:
-                _TOTALS[name] = replace(total)
-            else:
-                mine.merge(total)
+        _OPEN.scopes = [s for s in _OPEN.scopes if s is not scoped]
 
 
 def timed_solve(engine: str, solve: Callable, lp, **kwargs) -> "object":
@@ -134,7 +116,7 @@ def timed_solve(engine: str, solve: Callable, lp, **kwargs) -> "object":
     Returns the engine's ``LpSolution`` with ``stats`` populated (an
     engine that produced its own counters keeps them; only the engine
     name, timing and instance-size fields are filled in here) and folds
-    the counters into the running totals under ``engine``.
+    the counters into every open scope under ``engine``.
     """
     start = time.perf_counter()
     solution = solve(lp, **kwargs)

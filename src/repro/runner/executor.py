@@ -30,8 +30,8 @@
   per-job path alone while the rest of the batch proceeds.
 
 Per-job flow-solver telemetry is collected with
-:func:`repro.flow.registry.stats_scope` — never from the module-global
-totals, which would interleave under any concurrent or repeated use.
+:func:`repro.flow.registry.stats_scope`, which sees only the solves of
+the work it encloses.
 """
 
 from __future__ import annotations

@@ -18,13 +18,7 @@ from repro.sizing.kernels import (
     get_tilos_plan,
     solve_smp_blocked,
 )
-from repro.sizing.lagrangian import (
-    LagrangianOptions,
-    LagrangianResult,
-    lagrangian_size,
-)
 from repro.sizing.minflo import MinfloOptions, minflotransit
-from repro.sizing.recovery import RecoveryResult, greedy_downsize
 from repro.sizing.result import IterationRecord, SizingResult
 from repro.sizing.serialize import load_result, save_result
 from repro.sizing.smp import SmpResult
@@ -35,10 +29,7 @@ __all__ = [
     "BatchedSmpPlan",
     "DPhaseResult",
     "IterationRecord",
-    "LagrangianOptions",
-    "LagrangianResult",
     "MinfloOptions",
-    "RecoveryResult",
     "SizingResult",
     "SmpPlan",
     "SmpResult",
@@ -52,8 +43,6 @@ __all__ = [
     "d_phase",
     "get_smp_plan",
     "get_tilos_plan",
-    "greedy_downsize",
-    "lagrangian_size",
     "load_result",
     "minflotransit",
     "require_feasible",

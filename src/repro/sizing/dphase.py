@@ -177,7 +177,9 @@ def d_phase(
     ``warm_start`` is the ``warm_basis`` of a previous D-phase on the
     same DAG (the W/D alternation produces structurally identical flow
     instances every iteration); it accelerates the native engine on
-    small LPs and never changes the optimum.
+    small LPs.  The warm solve reaches exactly the cold objective but
+    may pick a different optimal ``r``, so ``delta_d`` and
+    ``predicted_gain`` can differ from a cold run's.
     """
     if np.any(max_dd < min_dd):
         raise SizingError("MAX_ΔD must dominate MIN_ΔD componentwise")

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.ssp import solve_lp_ssp_reference
 
 from repro.circuit import CircuitBuilder
 from repro.dag import build_sizing_dag
 from repro.flow.arrayssp import solve_lp_ssp
 from repro.flow.scipy_backend import solve_lp_scipy
-from repro.flow.ssp import solve_lp_ssp_reference
 from repro.generators import build_circuit, ripple_carry_adder
 from repro.tech import default_technology
 

@@ -23,7 +23,8 @@ ascent on λ with step c/k, the classic schedule.
 This module is a faithful but compact re-implementation: it maintains
 primal feasibility reports through the shared timing engine, and
 derives a final feasible solution by scaling the subproblem sizing's
-delay profile to the target and re-running the W-phase on it.
+delay profile to the target and re-running the W-phase on it.  It is a
+baseline for tests and benchmarks, not part of the runtime.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oracles.recovery import greedy_downsize
 from repro.dag.circuit_dag import SizingDag
 from repro.errors import InfeasibleTimingError, SizingError
 from repro.sizing.wphase import w_phase
@@ -197,8 +199,6 @@ def lagrangian_size(
     # Feasibility restoration is conservative (uniform load scaling), so
     # finish with a slack-recovery pass — standard practice in LRS
     # implementations, which alternate relaxed steps with greedy repair.
-    from repro.sizing.recovery import greedy_downsize
-
     recovered = greedy_downsize(dag, best_feasible, target, timer=timer)
     if recovered.area < best_area:
         best_feasible = recovered.x

@@ -1,4 +1,4 @@
-"""Reference successive-shortest-path solver (the ``ssp-legacy`` oracle).
+"""Heapq successive-shortest-path solver (the ``ssp-legacy`` oracle).
 
 This was the library's original native D-phase solver: Python
 lists-of-lists for the residual graph and a per-arc ``heapq`` Dijkstra
@@ -9,11 +9,10 @@ quantity the D-phase needs to recover the displacement ``r``
 (``r(v) = π(ground) - π(v)``).
 
 It has been superseded by the array-based primal-dual engine in
-:mod:`repro.flow.arrayssp` and never runs on a D-phase.  It stays
-in-tree only as an independent exact-integer oracle: the parity tests
-compare both D-phase engines against it, and
-``benchmarks/run_flow_bench.py`` measures the array engine's speedup
-over it.
+:mod:`repro.flow.arrayssp` and never runs on a D-phase.  It is an
+independent exact-integer oracle: the parity tests compare both
+D-phase engines against it, and ``benchmarks/run_flow_bench.py``
+measures the array engine's speedup over it.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import heapq
 import numpy as np
 
 from repro.errors import FlowError, InfeasibleFlowError, UnboundedFlowError
+from repro.flow.duality import LpSolution, ground_flow, recover_r
 from repro.flow.network import FlowProblem, FlowSolution
 
 __all__ = ["solve_ssp_reference", "solve_lp_ssp_reference"]
@@ -154,8 +154,6 @@ def solve_ssp_reference(
 
 def solve_lp_ssp_reference(lp) -> "object":
     """Solve a difference LP with the reference solver (test oracle)."""
-    from repro.flow.duality import LpSolution, ground_flow, recover_r
-
     grounded = ground_flow(lp)
     flow = solve_ssp_reference(grounded.problem, allow_negative=True)
     r = recover_r(grounded, flow.potentials, lp.n_nodes)

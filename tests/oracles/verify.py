@@ -1,12 +1,10 @@
-"""Optimality and feasibility checkers for flow/LP solutions.
+"""Optimality and feasibility certificates for flow solutions.
 
 Used by the test suite to certify solver correctness independently of
 any reference implementation:
 
 * flow conservation and capacity feasibility,
-* reduced-cost optimality (``cost + π(u) - π(v) >= 0`` on residual arcs),
-* complementary slackness between an LP solution and a flow solution,
-* strong duality (LP objective == flow cost).
+* reduced-cost optimality (``cost + π(u) - π(v) >= 0`` on residual arcs).
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 from repro.errors import FlowError
 from repro.flow.network import FlowSolution
 
-__all__ = ["check_flow_feasible", "check_flow_optimal"]
+__all__ = ["check_flow_feasible", "check_flow_optimal", "residual_arcs"]
 
 
 def check_flow_feasible(solution: FlowSolution, tol: float = 1e-6) -> None:
@@ -49,10 +47,21 @@ def check_flow_optimal(solution: FlowSolution, tol: float = 1e-6) -> None:
     potentials = solution.potentials
     costs = [abs(arc.cost) for arc in solution.problem.arcs]
     scale = 1.0 + (max(costs) if costs else 0.0)
-    for src, dst, _capacity, cost in solution.residual_arcs():
+    for src, dst, _capacity, cost in residual_arcs(solution):
         reduced = cost + potentials[src] - potentials[dst]
         if reduced < -tol * scale:
             raise FlowError(
                 f"residual arc {src}->{dst} has reduced cost "
                 f"{reduced:.6g} < 0; flow is not optimal"
             )
+
+
+def residual_arcs(solution: FlowSolution):
+    """Yield (src, dst, reduced capacity, cost) of the residual graph."""
+    for k, arc in enumerate(solution.problem.arcs):
+        f = solution.flow[k]
+        remaining = None if arc.capacity is None else arc.capacity - f
+        if remaining is None or remaining > 1e-12:
+            yield arc.src, arc.dst, remaining, arc.cost
+        if f > 1e-12:
+            yield arc.dst, arc.src, f, -arc.cost

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from oracles.ssp import solve_lp_ssp_reference, solve_ssp_reference
+from oracles.verify import check_flow_feasible, check_flow_optimal
 
 from repro.errors import FlowError, InfeasibleFlowError
 from repro.flow import (
@@ -9,16 +11,13 @@ from repro.flow import (
     DifferenceConstraintLP,
     FlowProblem,
     SolveStats,
-    check_flow_feasible,
-    check_flow_optimal,
     ground_flow,
     integerize_values,
     solve_difference_lp,
-    solve_ssp,
-    solver_statistics,
+    stats_scope,
 )
+from repro.flow import solve_ssp_array as solve_ssp
 from repro.flow.scipy_backend import solve_lp_scipy
-from repro.flow.ssp import solve_lp_ssp_reference, solve_ssp_reference
 
 ENGINES = ("ssp", "ssp-legacy", "scipy")
 
@@ -297,15 +296,13 @@ class TestBackendRegistry:
         lp.add(0, 2, 1.0)
         lp.add(1, 2, 3.0)
         lp.add(2, 0, 0.0)
-        before = solver_statistics().get("ssp")
-        solves_before = before.solves if before else 0
-        solution = solve_difference_lp(lp)
+        with stats_scope() as scoped:
+            solution = solve_difference_lp(lp)
         assert isinstance(solution.stats, SolveStats)
         assert solution.stats.backend == "ssp"
         assert solution.stats.n_arcs == 4
         assert solution.stats.wall_time_s >= 0.0
-        after = solver_statistics()["ssp"]
-        assert after.solves == solves_before + 1
+        assert scoped["ssp"].solves == 1
 
 
 class TestIntegerizePolicy:

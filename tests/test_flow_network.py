@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles.verify import check_flow_optimal
 
 from repro import errors
-from repro.flow import Arc, FlowProblem, solve_ssp
-from repro.flow.verify import check_flow_optimal
+from repro.flow import Arc, FlowProblem
+from repro.flow import solve_ssp_array as solve_ssp
 
 
 class TestArcValidation:

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-
-from repro.errors import InfeasibleTimingError, SizingError
-from repro.sizing import minflotransit
-from repro.sizing.lagrangian import (
+from oracles.lagrangian import (
     LagrangianOptions,
     lagrangian_size,
 )
+
+from repro.errors import InfeasibleTimingError, SizingError
+from repro.sizing import minflotransit
 from repro.timing import analyze
 
 

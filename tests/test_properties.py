@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.ssp import solve_lp_ssp_reference
 
 from repro.balancing import balance, verify_configuration
 from repro.circuit import Circuit
@@ -27,7 +28,6 @@ from repro.dag import build_sizing_dag
 from repro.flow import DifferenceConstraintLP
 from repro.flow.arrayssp import solve_lp_ssp
 from repro.flow.scipy_backend import solve_lp_scipy
-from repro.flow.ssp import solve_lp_ssp_reference
 from repro.generators import random_logic
 from repro.runner.cache import job_key
 from repro.runner.corpus import WarmSession

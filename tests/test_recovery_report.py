@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles.recovery import greedy_downsize
 
 from repro.errors import SizingError
 from repro.sizing import minflotransit, tilos_size
-from repro.sizing.recovery import greedy_downsize
 from repro.timing import GraphTimer, analyze
 from repro.timing.report import format_critical_path, format_slack_histogram
 

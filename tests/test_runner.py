@@ -1,18 +1,13 @@
 """Tests for the parallel sizing-campaign subsystem (repro.runner)."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import runner
 from repro.errors import RunnerError
-from repro.flow.registry import (
-    SolveStats,
-    record_stats,
-    reset_solver_statistics,
-    solver_statistics,
-    stats_scope,
-)
+from repro.flow.registry import SolveStats, record_stats, stats_scope
 from repro.runner import (
     CampaignSpec,
     Job,
@@ -358,21 +353,30 @@ class TestResume:
 
 
 class TestStatsScope:
-    @pytest.fixture(autouse=True)
-    def _clean_totals(self):
-        reset_solver_statistics()
-        yield
-        reset_solver_statistics()
-
     def test_scope_isolates_and_restores(self):
-        record_stats(SolveStats(backend="outer", augmentations=3))
-        with stats_scope() as scoped:
-            record_stats(SolveStats(backend="inner", augmentations=5))
-        assert set(scoped) == {"inner"}
-        assert scoped["inner"].augmentations == 5
-        totals = solver_statistics()
+        with stats_scope() as totals:
+            record_stats(SolveStats(backend="outer", augmentations=3))
+            with stats_scope() as scoped:
+                record_stats(SolveStats(backend="inner", augmentations=5))
+            assert set(scoped) == {"inner"}
+            assert scoped["inner"].augmentations == 5
         assert totals["outer"].augmentations == 3
         assert totals["inner"].augmentations == 5
+        record_stats(SolveStats(backend="after", augmentations=7))
+        assert set(totals) == {"outer", "inner"}
+        assert set(scoped) == {"inner"}
+
+    def test_scopes_are_per_thread(self):
+        def solve_elsewhere():
+            with stats_scope() as theirs:
+                record_stats(SolveStats(backend="a", augmentations=4))
+            return theirs
+
+        with stats_scope() as mine:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                theirs = pool.submit(solve_elsewhere).result(timeout=60)
+        assert theirs["a"].augmentations == 4
+        assert mine == {}
 
     def test_nested_scopes(self):
         with stats_scope() as outer:

@@ -9,6 +9,7 @@ feasibility, and the fallback paths.
 
 import numpy as np
 import pytest
+from oracles.verify import check_flow_feasible, check_flow_optimal
 
 from repro.balancing import balance
 from repro.errors import FlowError
@@ -19,7 +20,6 @@ from repro.flow.arrayssp import (
 )
 from repro.flow.duality import DifferenceConstraintLP, solve_difference_lp
 from repro.flow.network import FlowProblem
-from repro.flow.verify import check_flow_feasible, check_flow_optimal
 from repro.sizing import TilosOptions, tilos_size
 from repro.sizing.dphase import d_phase
 from repro.sizing.wphase import w_phase
