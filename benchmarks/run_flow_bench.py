@@ -128,7 +128,7 @@ def bench_circuit(name: str, spec: float, repeats: int) -> dict:
             "objective": solution.objective,
             "augmentations": stats.augmentations,
             "sp_rounds": stats.sp_rounds,
-            "dijkstra_pops": stats.dijkstra_pops,
+            "relax_passes": stats.relax_passes,
         }
         objectives[name] = solution.objective
 

@@ -29,6 +29,13 @@ the machine-independent signals are:
   pays its lookup but nothing fires) stays within 5% of the same
   workload with faults off entirely (same 0.5ms backstop).
 
+Each overhead phase runs both arms on one service, switching the
+instrumentation on or off around every warm round and alternating
+rounds between the arms (the lead swapping every round), pooling
+128x``--unique`` warm samples per arm: with warm replies at a few
+milliseconds, two services timed one after the other measured host
+drift, and differences between the two services, as often as overhead.
+
 Phases: **cold** (N unique jobs over C client threads), **warm** (the
 same jobs twice more, all hits), **fleet** (two in-process replicas on
 one shared sqlite queue + cache: jobs computed on replica A replay on
@@ -57,6 +64,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import ServiceError  # noqa: E402
+from repro.faults.injector import install as install_faults  # noqa: E402
 from repro.faults.injector import uninstall as uninstall_faults  # noqa: E402
 from repro.service import ServiceClient, SizingService, make_server  # noqa: E402
 from repro.sizing.serialize import canonical_json  # noqa: E402
@@ -69,6 +77,11 @@ TRACE_OVERHEAD_CEILING = 1.05
 TRACE_OVERHEAD_BACKSTOP_S = 0.0005
 FAULT_OVERHEAD_CEILING = 1.05
 FAULT_OVERHEAD_BACKSTOP_S = 0.0005
+#: Warm rounds per arm in the overhead phases; each round replays every
+#: unique job twice, so 64 rounds pool 128x``--unique`` samples per arm.
+OVERHEAD_ROUNDS = 64
+#: The armed arm's fault schedule: a rule on a site nothing probes.
+INERT_FAULTS = "bench.inert:error@0.5"
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -104,8 +117,13 @@ class _Box:
         self.service.close()
 
 
-def _run_phase(client, bodies, clients: int):
-    """Issue ``bodies`` concurrently; returns (replies, latencies, wall)."""
+def _run_phase(client, bodies, clients: int, pool=None):
+    """Issue ``bodies`` concurrently; returns (replies, latencies, wall).
+
+    ``pool`` reuses an executor's threads, and with them the client's
+    per-thread keep-alive connections, across calls; by default each
+    call runs on ``clients`` fresh threads.
+    """
     latencies = [0.0] * len(bodies)
     replies = [None] * len(bodies)
 
@@ -115,8 +133,11 @@ def _run_phase(client, bodies, clients: int):
         latencies[index] = time.perf_counter() - start
 
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=clients) as pool:
+    if pool is not None:
         list(pool.map(_one, range(len(bodies))))
+    else:
+        with ThreadPoolExecutor(max_workers=clients) as fresh:
+            list(fresh.map(_one, range(len(bodies))))
     return replies, latencies, time.perf_counter() - start
 
 
@@ -204,39 +225,87 @@ def bench_fleet(scratch: Path, unique: int) -> dict:
             box.stop()
 
 
-def bench_trace_overhead(scratch: Path, clients: int, unique: int) -> dict:
-    """Warm-path p50 with span emission on vs off (``trace=False``).
+def _interleaved_warm_p50(
+    scratch: Path, clients: int, unique: int, service_kwargs: dict,
+    arms: dict,
+) -> dict[str, tuple[float, int]]:
+    """Warm p50 of each arm on one service, sampled round by round.
 
-    Both sides run the identical cold-then-warm workload in this
-    process; only the warm (cached) round is measured, where the
+    ``arms`` maps a label to ``(enter, leave)``, two callables taking
+    the service that switch the arm's setting on and back off around
+    each of its rounds.  All arms share one service, cache, journal and
+    set of client connections, warmed with one cold round, so the only
+    difference between them is the switched setting; the arms then take
+    :data:`OVERHEAD_ROUNDS` warm rounds each, the lead swapping every
+    round, so host drift lands on every arm alike.  Returns ``{label:
+    (p50 seconds, samples pooled)}``.
+    """
+    bodies = [
+        {"circuit": "c17", "delay_spec": 0.5 + i * (0.45 / unique)}
+        for i in range(unique)
+    ]
+    box = _Box(
+        jobs=1, cache=scratch / "cache", run_dir=scratch / "run",
+        **service_kwargs,
+    )
+    # One set of client threads for every round: a fresh pool per round
+    # would open new keep-alive connections (and server threads) each
+    # time, and leave the old ones idle.
+    pool = ThreadPoolExecutor(max_workers=clients)
+    try:
+        client = ServiceClient(box.url, client_id="bench")
+        _run_phase(client, bodies, clients, pool)  # cold: fill the cache
+        samples: dict[str, list[float]] = {label: [] for label in arms}
+        order = list(arms)
+        for round_index in range(OVERHEAD_ROUNDS):
+            for label in order if round_index % 2 == 0 else order[::-1]:
+                enter, leave = arms[label]
+                enter(box.service)
+                try:
+                    samples[label] += _run_phase(
+                        client, bodies * 2, clients, pool
+                    )[1]
+                finally:
+                    leave(box.service)
+        return {
+            label: (_percentile(lat, 0.50), len(lat))
+            for label, lat in samples.items()
+        }
+    finally:
+        pool.shutdown()
+        box.stop()
+
+
+def _idle(service) -> None:
+    pass
+
+
+def _set_trace(on: bool):
+    def switch(service) -> None:
+        service.trace = on
+    return switch
+
+
+def bench_trace_overhead(scratch: Path, clients: int, unique: int) -> dict:
+    """Warm-path p50 with span emission on vs off.
+
+    One service built with tracing runs both arms: the bare arm's
+    rounds switch ``service.trace`` off, which is what ``trace=False``
+    sets.  Only the warm (cached) rounds are measured, where the
     instrumentation is proportionally largest.  The gate is a ratio
     with an absolute backstop — warm p50 is sub-millisecond-noisy on
     shared CI runners, so a 5% relative ceiling alone would flap.
     """
-
-    def warm_p50(label: str, trace: bool) -> float:
-        box = _Box(
-            jobs=1, cache=scratch / f"cache-{label}",
-            run_dir=scratch / f"run-{label}", trace=trace,
-        )
-        try:
-            client = ServiceClient(box.url, client_id=f"bench-{label}")
-            bodies = [
-                {"circuit": "c17", "delay_spec": 0.5 + i * (0.45 / unique)}
-                for i in range(unique)
-            ]
-            _run_phase(client, bodies, clients)  # cold: populate the cache
-            _, warm_lat, _ = _run_phase(client, bodies * 3, clients)
-            return _percentile(warm_lat, 0.50)
-        finally:
-            box.stop()
-
-    traced = warm_p50("traced", True)
-    bare = warm_p50("bare", False)
+    p50 = _interleaved_warm_p50(scratch, clients, unique, {"trace": True}, {
+        "traced": (_idle, _idle),
+        "bare": (_set_trace(False), _set_trace(True)),
+    })
+    (traced, n_traced), (bare, n_bare) = p50["traced"], p50["bare"]
     ratio = traced / bare if bare > 0 else 1.0
     return {
         "warm_p50_traced_ms": round(traced * 1e3, 3),
         "warm_p50_untraced_ms": round(bare * 1e3, 3),
+        "samples_per_arm": min(n_traced, n_bare),
         "overhead_ratio": round(ratio, 3),
         "overhead_ok": ratio <= TRACE_OVERHEAD_CEILING
         or (traced - bare) <= TRACE_OVERHEAD_BACKSTOP_S,
@@ -250,34 +319,28 @@ def bench_fault_overhead(scratch: Path, clients: int, unique: int) -> dict:
     inert site, so every wired-in probe (``cache.get``, ``queue.*``,
     ``http.response``, ...) pays the full lookup cost without ever
     firing — the worst honest case for a production service running
-    with ``--faults`` unset or pointed elsewhere.  Same ratio + absolute
-    backstop shape as the trace gate, for the same noisy-runner reason.
+    with ``--faults`` unset or pointed elsewhere.  The injector is
+    process-global, so the armed arm installs it around its own rounds
+    only.  Same ratio + absolute backstop shape as the trace gate, for
+    the same noisy-runner reason.
     """
 
-    def warm_p50(label: str, faults: str | None) -> float:
-        box = _Box(
-            jobs=1, cache=scratch / f"cache-{label}",
-            run_dir=scratch / f"run-{label}", faults=faults,
-        )
-        try:
-            client = ServiceClient(box.url, client_id=f"bench-{label}")
-            bodies = [
-                {"circuit": "c17", "delay_spec": 0.5 + i * (0.45 / unique)}
-                for i in range(unique)
-            ]
-            _run_phase(client, bodies, clients)  # cold: populate the cache
-            _, warm_lat, _ = _run_phase(client, bodies * 3, clients)
-            return _percentile(warm_lat, 0.50)
-        finally:
-            box.stop()
-            uninstall_faults()
+    def arm(_service) -> None:
+        install_faults(INERT_FAULTS, state_dir=scratch / "fault-state")
 
-    bare = warm_p50("off", None)
-    armed = warm_p50("armed", "bench.inert:error@0.5")
+    def disarm(_service) -> None:
+        uninstall_faults()
+
+    p50 = _interleaved_warm_p50(scratch, clients, unique, {}, {
+        "off": (_idle, _idle),
+        "armed": (arm, disarm),
+    })
+    (bare, n_bare), (armed, n_armed) = p50["off"], p50["armed"]
     ratio = armed / bare if bare > 0 else 1.0
     return {
         "warm_p50_armed_ms": round(armed * 1e3, 3),
         "warm_p50_off_ms": round(bare * 1e3, 3),
+        "samples_per_arm": min(n_bare, n_armed),
         "overhead_ratio": round(ratio, 3),
         "overhead_ok": ratio <= FAULT_OVERHEAD_CEILING
         or (armed - bare) <= FAULT_OVERHEAD_BACKSTOP_S,

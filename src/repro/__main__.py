@@ -92,9 +92,8 @@ def _cmd_size(args: argparse.Namespace) -> int:
     print(f"{circuit.name}: {circuit.n_gates} gates, {dag.n} variables, "
           f"Dmin = {d_min:.0f} ps, target = {target:.0f} ps")
 
-    # Scope the flow-solver counters to this run: the module totals are
-    # cumulative per process, so printing them directly would mix in any
-    # earlier solves (other commands, other library calls).
+    # Count exactly this run's flow solves; a caller's enclosing scope
+    # (perfbench's worker) still sees them too.
     with stats_scope() as flow_totals:
         seed = tilos_size(dag, target)
         if not seed.feasible:
@@ -135,14 +134,14 @@ def _print_flow_stats(totals: dict) -> None:
             str(stats.warm_solves),
             str(stats.augmentations),
             str(stats.sp_rounds),
-            str(stats.dijkstra_pops),
+            str(stats.relax_passes),
             f"{stats.supply_routed:.3g}",
             f"{stats.wall_time_s:.3f}",
         ]
         for name, stats in sorted(totals.items())
     ]
     print(format_table(
-        ["backend", "solves", "warm", "augment", "sp rounds", "pops",
+        ["backend", "solves", "warm", "augment", "sp rounds", "sweeps",
          "routed", "wall s"],
         rows,
         title="flow solver statistics",

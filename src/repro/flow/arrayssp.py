@@ -183,16 +183,6 @@ class ArraySspEngine:
         self._clamped = np.empty(self.n_total)
         self._arc_mask = np.zeros(2 * m, dtype=bool)
 
-        # Optional compiled Dijkstra (scipy); the edge-parallel
-        # Bellman-Ford sweeps below are the pure-numpy fallback.
-        try:
-            from scipy import sparse as sparse_mod
-            from scipy.sparse import csgraph as csgraph_mod
-        except ImportError:  # pragma: no cover - scipy is baked in
-            sparse_mod = csgraph_mod = None
-        self._sparse = sparse_mod
-        self._csgraph = csgraph_mod
-
     def solve(
         self,
         allow_negative: bool = False,
@@ -455,47 +445,21 @@ class ArraySspEngine:
     ) -> np.ndarray:
         """Reduced-cost shortest distances from the super source.
 
-        Fast path: the residual arcs are deduplicated (parallel arcs
-        keep the cheapest copy) into a CSR matrix and handed to scipy's
-        compiled Dijkstra.  Reduced costs are non-negative by the
-        potential invariant; sub-tolerance negatives from float noise
-        are clipped to zero first.
-
-        Fallback (no scipy): edge-parallel Bellman-Ford-Moore — every
-        pass relaxes all active residual arcs at once, converging in
-        (shortest-path hop diameter) passes on these shallow networks.
+        Edge-parallel Bellman-Ford-Moore: every pass relaxes all active
+        residual arcs at once.  Reduced costs are non-negative by the
+        potential invariant, so the labels settle in (shortest-path hop
+        diameter) passes, a handful on these shallow networks — each a
+        few whole-array numpy operations, with no graph to build.
         """
         dist = self._dist
+        dist.fill(_INF)
+        dist[self.source] = 0.0
         active = np.flatnonzero(cap > self._eps_cap)
         if active.size == 0:
-            dist.fill(_INF)
-            dist[self.source] = 0.0
             return dist
         asrc = self.arc_src[active]
         adst = self.arc_dst[active]
         rcost = self.arc_cost[active] + pot[asrc] - pot[adst]
-        if self._csgraph is not None:
-            np.maximum(rcost, 0.0, out=rcost)  # clip tolerance noise
-            order = np.lexsort((adst, asrc))
-            s2, d2, r2 = asrc[order], adst[order], rcost[order]
-            first = np.empty(len(s2), dtype=bool)
-            first[0] = True
-            np.logical_or(
-                np.diff(s2) != 0, np.diff(d2) != 0, out=first[1:]
-            )
-            starts = np.flatnonzero(first)
-            graph = self._sparse.csr_matrix(
-                (np.minimum.reduceat(r2, starts),
-                 (s2[starts], d2[starts])),
-                shape=(self.n_total, self.n_total),
-            )
-            np.copyto(dist, self._csgraph.dijkstra(
-                graph, indices=self.source
-            ))
-            stats.dijkstra_pops += int(np.isfinite(dist).sum())
-            return dist
-        dist.fill(_INF)
-        dist[self.source] = 0.0
         for _pass in range(self.n_total + 1):
             candidate = dist[asrc] + rcost
             improves = candidate < dist[adst] - self._eps_cost
@@ -503,7 +467,6 @@ class ArraySspEngine:
                 return dist
             np.minimum.at(dist, adst[improves], candidate[improves])
             stats.relax_passes += 1
-            stats.dijkstra_pops += int(improves.sum())
         raise UnboundedFlowError("negative-cost cycle detected")
 
     def _augment_admissible(

@@ -56,13 +56,17 @@ __all__ = [
 ]
 
 #: Largest LP (in constraints) solved by the native array SSP engine;
-#: anything bigger goes to HiGHS.  The rule does not buy solve speed:
-#: on c17's D-phase LPs HiGHS is faster per solve (≈3.6–3.9 ms against
-#: ≈6.8–7.5 ms in :func:`~repro.flow.registry.timed_solve`, 377 solves
-#: per run, 2-core Xeon).  It buys a process that only sizes small
-#: circuits never importing ``scipy.optimize``: that import adds ≈18 MB
-#: of peak RSS (69 → 87 MB) and takes the first c17 job from 0.15 s to
-#: 0.3–0.4 s.  ``tests/test_dphase_lps.py`` pins that c17 never loads it.
+#: anything bigger goes to HiGHS.  On c17's D-phase LPs the two are
+#: about even per solve in :func:`~repro.flow.registry.timed_solve`
+#: (122 solves, c17 gate and transistor at specs 0.5–0.9, 2-core Xeon):
+#: the engine's mean is ≈4.1–4.7 ms against HiGHS's ≈4.8–5.5 ms, i.e.
+#: ≈0.7–0.9 ms against ≈3.6–5.1 ms on the ~20-constraint gate-mode LPs
+#: and ≈5.3–6.2 ms against ≈4.9–5.7 ms on the 78-constraint
+#: transistor-mode ones.  What the rule buys is a process that only
+#: sizes small circuits never importing ``scipy.optimize``: that import
+#: adds ≈26 MB of peak RSS (57 → 83 MB over three c17 jobs) and takes
+#: the first c17 job from ≈0.03 s to ≈0.47 s.  ``tests/test_dphase_lps.py``
+#: pins that c17 never loads it.
 SSP_MAX_CONSTRAINTS = 128
 
 

@@ -35,11 +35,9 @@ class SolveStats:
     augmentations: int = 0
     #: Potential updates / shortest-path rounds (native engines only).
     sp_rounds: int = 0
-    #: Edge-parallel relaxation sweeps (native engines only).
+    #: Edge-parallel Bellman-Ford sweeps, shortest-path and repair
+    #: alike (native engines only).
     relax_passes: int = 0
-    #: Individual distance-label improvements — the array engine's
-    #: analogue of Dijkstra heap pops.
-    dijkstra_pops: int = 0
     #: Solves that started from a warm basis (native array engine only).
     warm_solves: int = 0
     #: Flow units retained from the warm basis instead of re-routed.
@@ -56,7 +54,6 @@ class SolveStats:
         self.augmentations += other.augmentations
         self.sp_rounds += other.sp_rounds
         self.relax_passes += other.relax_passes
-        self.dijkstra_pops += other.dijkstra_pops
         self.warm_solves += other.warm_solves
         self.warm_flow_reused += other.warm_flow_reused
         self.supply_routed += other.supply_routed

@@ -37,14 +37,14 @@ measures ``duration_s`` (callers like ``minflotransit`` reuse it for
 from __future__ import annotations
 
 import json
+import os
+import random
 import threading
 import time
-import uuid
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 __all__ = [
     "TRACE_HEADER",
@@ -67,14 +67,23 @@ TRACE_HEADER = "X-Repro-Trace"
 _MAX_ID_LEN = 64
 
 
+# Ids come from a private generator seeded once from the OS, not from
+# ``os.urandom`` per id: that is a syscall which releases the GIL, and
+# under concurrent requests every release can queue the thread behind
+# a busy one for a whole switch interval.  Forked children reseed.
+_IDS = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_IDS.seed)
+
+
 def new_trace_id() -> str:
     """Return a fresh 16-hex-char trace id."""
-    return uuid.uuid4().hex[:16]
+    return f"{_IDS.getrandbits(64):016x}"
 
 
 def new_span_id() -> str:
     """Return a fresh 8-hex-char span id."""
-    return uuid.uuid4().hex[:8]
+    return f"{_IDS.getrandbits(32):08x}"
 
 
 def span_record(
@@ -130,6 +139,11 @@ def parse_trace_header(value: str | None) -> tuple[str | None, str | None]:
     return trace_id, parent or None
 
 
+# One shared encoder: ``json.dumps(..., default=str)`` builds a fresh
+# ``JSONEncoder`` per call, about a third of a span line's cost.
+_encode = json.JSONEncoder(default=str).encode
+
+
 class SpanSink:
     """Append-only destination for finished span records.
 
@@ -161,8 +175,9 @@ class SpanSink:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = open(self.path, "a", encoding="utf-8")
-            for record in batch:
-                self._handle.write(json.dumps(record, default=str) + "\n")
+            self._handle.write("".join(
+                _encode(record) + "\n" for record in batch
+            ))
             self._handle.flush()
 
     def drain(self) -> list[dict]:
@@ -206,24 +221,33 @@ def current_carrier() -> dict | None:
     return {"trace_id": ctx.trace_id, "parent_id": ctx.span_id}
 
 
-@contextmanager
-def trace_scope(
-    sink: SpanSink | None = None,
-    trace_id: str | None = None,
-    parent_id: str | None = None,
-) -> Iterator[TraceContext]:
+class trace_scope:
     """Activate a trace context for the dynamic extent of the block.
 
     Omitting ``trace_id`` starts a new trace; passing one (plus an
     optional ``parent_id``) resumes a propagated trace so spans opened
-    inside attach to the remote parent.
+    inside attach to the remote parent.  ``with trace_scope(...) as
+    ctx`` yields the :class:`TraceContext`.  (A plain class, not a
+    generator context manager: the service opens one per request.)
     """
-    ctx = TraceContext(trace_id=trace_id or new_trace_id(), span_id=parent_id, sink=sink)
-    token = _CONTEXT.set(ctx)
-    try:
-        yield ctx
-    finally:
-        _CONTEXT.reset(token)
+
+    __slots__ = ("ctx", "_token")
+
+    def __init__(
+        self,
+        sink: SpanSink | None = None,
+        trace_id: str | None = None,
+        parent_id: str | None = None,
+    ) -> None:
+        self.ctx = TraceContext(trace_id or new_trace_id(), parent_id, sink)
+
+    def __enter__(self) -> TraceContext:
+        self._token = _CONTEXT.set(self.ctx)
+        return self.ctx
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _CONTEXT.reset(self._token)
+        return False
 
 
 class span:

@@ -69,7 +69,6 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -526,8 +525,6 @@ class SizingService:
         record = self.store.create(job, key, client, trace=trace_ref)
         if hit is not None:
             self._m_cache_hits.inc()
-            if ctx is not None:
-                hit = replace(hit, trace_id=ctx.trace_id)
             self.store.finish(record.id, hit)
         return record, hit
 
@@ -791,8 +788,6 @@ class SizingService:
                 live.append((record, carrier))
                 continue
             self._m_cache_hits.inc()
-            if carrier is not None:
-                hit = replace(hit, trace_id=carrier["trace_id"])
             finished = self.store.finish(record.id, hit)
             self._emit_root(record, finished, carrier)
         items = [

@@ -39,8 +39,10 @@ __all__ = [
 #: versions and cached campaign results keyed on an old version simply
 #: re-run.  Version 2 added the explicit ``schema_version`` field;
 #: version 3 dropped the per-iteration ``kernel`` key and made every
-#: field required.
-SCHEMA_VERSION = 3
+#: field required; version 4 marks the job payload's ``flow_stats``
+#: losing its ``dijkstra_pops`` counter (the result layout itself is
+#: unchanged, but the version is in every cache key).
+SCHEMA_VERSION = 4
 
 _SCHEMA_FAMILY = "repro.sizing-result"
 _SCHEMA = f"{_SCHEMA_FAMILY}/{SCHEMA_VERSION}"

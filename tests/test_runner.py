@@ -166,7 +166,7 @@ class TestCache:
         outcome = run_one(job, cache)
         assert not outcome.cached
         assert outcome.payload["result"]["area"] == fresh.payload["result"]["area"]
-        assert cache.get(key)["result"]["schema_version"] == 3
+        assert cache.get(key)["result"]["schema_version"] == 4
 
 
 class TestExecutor:

@@ -72,7 +72,7 @@ class TestSerialize:
 
     def test_missing_field_raises_sizing_error(self, result):
         payload = result_to_dict(result)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         del payload["iterations"][0]["w_sweeps"]
         with pytest.raises(SizingError, match="w_sweeps"):
             result_from_dict(payload)

@@ -129,6 +129,26 @@ class TestTransport:
         finally:
             conn.close()
 
+    def test_accepted_connections_disable_nagle(self, live, monkeypatch):
+        """Headers and body are separate sends; without TCP_NODELAY each
+        keep-alive reply stalls on Nagle against the delayed ACK."""
+        import socket
+
+        from repro.service import server as server_mod
+
+        seen = []
+        setup = server_mod._Handler.setup
+
+        def spy(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(server_mod._Handler, "setup", spy)
+        assert live.client.healthz()["status"] == "ok"
+        assert seen and all(seen)
+
     def test_timeout_forces_enforcing_pool(self, tmp_path):
         """jobs=1 with a timeout must not use the thread pool, where
         the SIGALRM budget would be silently disarmed."""
