@@ -117,13 +117,10 @@ class _Box:
         self.service.close()
 
 
-def _run_phase(client, bodies, clients: int, pool=None):
-    """Issue ``bodies`` concurrently; returns (replies, latencies, wall).
-
-    ``pool`` reuses an executor's threads, and with them the client's
-    per-thread keep-alive connections, across calls; by default each
-    call runs on ``clients`` fresh threads.
-    """
+def _run_phase(client, bodies, pool):
+    """Issue ``bodies`` on ``pool``'s threads; returns (replies,
+    latencies, wall).  Reusing one pool across phases reuses its
+    threads' keep-alive connections too."""
     latencies = [0.0] * len(bodies)
     replies = [None] * len(bodies)
 
@@ -133,28 +130,23 @@ def _run_phase(client, bodies, clients: int, pool=None):
         latencies[index] = time.perf_counter() - start
 
     start = time.perf_counter()
-    if pool is not None:
-        list(pool.map(_one, range(len(bodies))))
-    else:
-        with ThreadPoolExecutor(max_workers=clients) as fresh:
-            list(fresh.map(_one, range(len(bodies))))
+    list(pool.map(_one, range(len(bodies))))
     return replies, latencies, time.perf_counter() - start
 
 
 def bench_cold_warm(scratch: Path, clients: int, unique: int) -> dict:
     """Cold then warm request rounds against one service instance."""
     box = _Box(jobs=1, cache=scratch / "cache", run_dir=scratch / "run")
+    pool = ThreadPoolExecutor(max_workers=clients)
     try:
         client = ServiceClient(box.url, client_id="bench")
         bodies = [
             {"circuit": "c17", "delay_spec": 0.5 + i * (0.45 / unique)}
             for i in range(unique)
         ]
-        cold_replies, cold_lat, cold_wall = _run_phase(
-            client, bodies, clients
-        )
+        cold_replies, cold_lat, cold_wall = _run_phase(client, bodies, pool)
         warm_replies, warm_lat, warm_wall = _run_phase(
-            client, bodies * 2, clients
+            client, bodies * 2, pool
         )
         stats = client.stats()
         parity = all(
@@ -185,6 +177,7 @@ def bench_cold_warm(scratch: Path, clients: int, unique: int) -> dict:
             ),
         }
     finally:
+        pool.shutdown()
         box.stop()
 
 
@@ -227,18 +220,17 @@ def bench_fleet(scratch: Path, unique: int) -> dict:
 
 def _interleaved_warm_p50(
     scratch: Path, clients: int, unique: int, service_kwargs: dict,
-    arms: dict,
-) -> dict[str, tuple[float, int]]:
-    """Warm p50 of each arm on one service, sampled round by round.
+    instrument,
+) -> dict[bool, tuple[float, int]]:
+    """Warm p50 with and without one instrumentation, on one service.
 
-    ``arms`` maps a label to ``(enter, leave)``, two callables taking
-    the service that switch the arm's setting on and back off around
-    each of its rounds.  All arms share one service, cache, journal and
-    set of client connections, warmed with one cold round, so the only
+    ``instrument(service, on)`` switches the instrumentation before
+    each round.  Both arms share one service, cache, journal and set of
+    client connections, warmed with one cold round, so the only
     difference between them is the switched setting; the arms then take
     :data:`OVERHEAD_ROUNDS` warm rounds each, the lead swapping every
-    round, so host drift lands on every arm alike.  Returns ``{label:
-    (p50 seconds, samples pooled)}``.
+    round, so host drift lands on both alike.  Returns ``{on: (p50
+    seconds, samples pooled)}``.
     """
     bodies = [
         {"circuit": "c17", "delay_spec": 0.5 + i * (0.45 / unique)}
@@ -248,42 +240,23 @@ def _interleaved_warm_p50(
         jobs=1, cache=scratch / "cache", run_dir=scratch / "run",
         **service_kwargs,
     )
-    # One set of client threads for every round: a fresh pool per round
-    # would open new keep-alive connections (and server threads) each
-    # time, and leave the old ones idle.
     pool = ThreadPoolExecutor(max_workers=clients)
     try:
         client = ServiceClient(box.url, client_id="bench")
-        _run_phase(client, bodies, clients, pool)  # cold: fill the cache
-        samples: dict[str, list[float]] = {label: [] for label in arms}
-        order = list(arms)
+        _run_phase(client, bodies, pool)  # cold: fill the cache
+        samples: dict[bool, list[float]] = {True: [], False: []}
         for round_index in range(OVERHEAD_ROUNDS):
-            for label in order if round_index % 2 == 0 else order[::-1]:
-                enter, leave = arms[label]
-                enter(box.service)
-                try:
-                    samples[label] += _run_phase(
-                        client, bodies * 2, clients, pool
-                    )[1]
-                finally:
-                    leave(box.service)
+            for on in (True, False) if round_index % 2 == 0 else (False, True):
+                instrument(box.service, on)
+                samples[on] += _run_phase(client, bodies * 2, pool)[1]
         return {
-            label: (_percentile(lat, 0.50), len(lat))
-            for label, lat in samples.items()
+            on: (_percentile(lat, 0.50), len(lat))
+            for on, lat in samples.items()
         }
     finally:
+        instrument(box.service, False)
         pool.shutdown()
         box.stop()
-
-
-def _idle(service) -> None:
-    pass
-
-
-def _set_trace(on: bool):
-    def switch(service) -> None:
-        service.trace = on
-    return switch
 
 
 def bench_trace_overhead(scratch: Path, clients: int, unique: int) -> dict:
@@ -296,11 +269,14 @@ def bench_trace_overhead(scratch: Path, clients: int, unique: int) -> dict:
     with an absolute backstop — warm p50 is sub-millisecond-noisy on
     shared CI runners, so a 5% relative ceiling alone would flap.
     """
-    p50 = _interleaved_warm_p50(scratch, clients, unique, {"trace": True}, {
-        "traced": (_idle, _idle),
-        "bare": (_set_trace(False), _set_trace(True)),
-    })
-    (traced, n_traced), (bare, n_bare) = p50["traced"], p50["bare"]
+
+    def instrument(service, on: bool) -> None:
+        service.trace = on
+
+    p50 = _interleaved_warm_p50(
+        scratch, clients, unique, {"trace": True}, instrument,
+    )
+    (traced, n_traced), (bare, n_bare) = p50[True], p50[False]
     ratio = traced / bare if bare > 0 else 1.0
     return {
         "warm_p50_traced_ms": round(traced * 1e3, 3),
@@ -320,22 +296,19 @@ def bench_fault_overhead(scratch: Path, clients: int, unique: int) -> dict:
     ``http.response``, ...) pays the full lookup cost without ever
     firing — the worst honest case for a production service running
     with ``--faults`` unset or pointed elsewhere.  The injector is
-    process-global, so the armed arm installs it around its own rounds
-    only.  Same ratio + absolute backstop shape as the trace gate, for
+    process-global, so it is installed for the armed rounds only.
+    Same ratio + absolute backstop shape as the trace gate, for
     the same noisy-runner reason.
     """
 
-    def arm(_service) -> None:
-        install_faults(INERT_FAULTS, state_dir=scratch / "fault-state")
+    def instrument(_service, on: bool) -> None:
+        if on:
+            install_faults(INERT_FAULTS, state_dir=scratch / "fault-state")
+        else:
+            uninstall_faults()
 
-    def disarm(_service) -> None:
-        uninstall_faults()
-
-    p50 = _interleaved_warm_p50(scratch, clients, unique, {}, {
-        "off": (_idle, _idle),
-        "armed": (arm, disarm),
-    })
-    (bare, n_bare), (armed, n_armed) = p50["off"], p50["armed"]
+    p50 = _interleaved_warm_p50(scratch, clients, unique, {}, instrument)
+    (armed, n_armed), (bare, n_bare) = p50[True], p50[False]
     ratio = armed / bare if bare > 0 else 1.0
     return {
         "warm_p50_armed_ms": round(armed * 1e3, 3),

@@ -160,10 +160,6 @@ class Circuit:
             )
         return order
 
-    @property
-    def is_frozen(self) -> bool:
-        return self._order is not None
-
     # -- queries -------------------------------------------------------------
 
     @property

@@ -176,12 +176,6 @@ class SizingDag:
     def labels(self) -> list[str]:
         return [vertex.label for vertex in self.vertices]
 
-    def vertex_by_label(self, label: str) -> DagVertex:
-        for vertex in self.vertices:
-            if vertex.label == label:
-                return vertex
-        raise KeyError(label)
-
     def __repr__(self) -> str:
         return (
             f"SizingDag({self.name!r}, mode={self.mode!r}, n={self.n}, "

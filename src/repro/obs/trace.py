@@ -41,10 +41,11 @@ import os
 import random
 import threading
 import time
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "TRACE_HEADER",
@@ -67,10 +68,8 @@ TRACE_HEADER = "X-Repro-Trace"
 _MAX_ID_LEN = 64
 
 
-# Ids come from a private generator seeded once from the OS, not from
-# ``os.urandom`` per id: that is a syscall which releases the GIL, and
-# under concurrent requests every release can queue the thread behind
-# a busy one for a whole switch interval.  Forked children reseed.
+# Ids come from a generator seeded once from the OS, not ``os.urandom``
+# per id: a syscall that releases the GIL.  Forked children reseed.
 _IDS = random.Random()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_IDS.seed)
@@ -139,6 +138,9 @@ def parse_trace_header(value: str | None) -> tuple[str | None, str | None]:
     return trace_id, parent or None
 
 
+#: How often a file :class:`SpanSink` writes its queued records.
+FLUSH_INTERVAL_S = 0.1
+
 # One shared encoder: ``json.dumps(..., default=str)`` builds a fresh
 # ``JSONEncoder`` per call, about a third of a span line's cost.
 _encode = json.JSONEncoder(default=str).encode
@@ -147,17 +149,25 @@ _encode = json.JSONEncoder(default=str).encode
 class SpanSink:
     """Append-only destination for finished span records.
 
-    With a ``path``, records are written as JSONL (one handle, locked,
-    flushed per batch — safe to share across drain threads).  Without
-    one, records buffer in memory; :meth:`drain` hands them off, which
-    is how worker processes ship spans back across the pool boundary.
+    With a ``path``, emitting only queues a record; a background thread
+    encodes and appends the queue to the JSONL file every
+    :data:`FLUSH_INTERVAL_S` seconds, in emit order, so a request pays
+    no encode and no write for its spans.  :meth:`close` writes what is
+    queued; after it, emits write straight through.  A process killed
+    before :meth:`close` loses at most one interval of spans.  Without
+    a path, records buffer in memory; :meth:`drain` hands them off,
+    which is how worker processes ship spans back across the pool
+    boundary.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self._handle: Any = None
         self._buffer: list[dict] = []
+        self._writer: threading.Thread | None = None
+        self._closed = threading.Event()
 
     def emit(self, record: dict) -> None:
         """Append one span record."""
@@ -169,26 +179,54 @@ class SpanSink:
         if not batch:
             return
         with self._lock:
-            if self.path is None:
-                self._buffer.extend(batch)
+            self._buffer.extend(batch)
+            if self.path is None or self._writer is not None:
                 return
+            if not self._closed.is_set():
+                self._writer = threading.Thread(
+                    target=self._write_loop, name="span-sink", daemon=True,
+                )
+                self._writer.start()
+                return
+        self.flush()
+
+    def _write_loop(self) -> None:
+        while not self._closed.wait(FLUSH_INTERVAL_S):
+            self.flush()
+
+    def flush(self) -> None:
+        """Write every queued record to the file now (file sinks)."""
+        if self.path is None:
+            return
+        with self._write_lock:  # emitters only wait for the swap
+            with self._lock:
+                batch, self._buffer = self._buffer, []
+            if not batch:
+                return
+            text = "".join(_encode(record) + "\n" for record in batch)
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write("".join(
-                _encode(record) + "\n" for record in batch
-            ))
+            self._handle.write(text)
             self._handle.flush()
 
     def drain(self) -> list[dict]:
         """Return and clear the in-memory buffer (file sinks: empty)."""
+        if self.path is not None:
+            return []
         with self._lock:
             out, self._buffer = self._buffer, []
             return out
 
     def close(self) -> None:
-        """Close the underlying file handle, if any."""
+        """Write what is queued and close the file handle, if any."""
+        self._closed.set()
         with self._lock:
+            writer, self._writer = self._writer, None
+        if writer is not None and writer is not threading.current_thread():
+            writer.join()
+        self.flush()
+        with self._write_lock:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
@@ -221,33 +259,24 @@ def current_carrier() -> dict | None:
     return {"trace_id": ctx.trace_id, "parent_id": ctx.span_id}
 
 
-class trace_scope:
+@contextmanager
+def trace_scope(
+    sink: SpanSink | None = None,
+    trace_id: str | None = None,
+    parent_id: str | None = None,
+) -> Iterator[TraceContext]:
     """Activate a trace context for the dynamic extent of the block.
 
     Omitting ``trace_id`` starts a new trace; passing one (plus an
     optional ``parent_id``) resumes a propagated trace so spans opened
-    inside attach to the remote parent.  ``with trace_scope(...) as
-    ctx`` yields the :class:`TraceContext`.  (A plain class, not a
-    generator context manager: the service opens one per request.)
+    inside attach to the remote parent.
     """
-
-    __slots__ = ("ctx", "_token")
-
-    def __init__(
-        self,
-        sink: SpanSink | None = None,
-        trace_id: str | None = None,
-        parent_id: str | None = None,
-    ) -> None:
-        self.ctx = TraceContext(trace_id or new_trace_id(), parent_id, sink)
-
-    def __enter__(self) -> TraceContext:
-        self._token = _CONTEXT.set(self.ctx)
-        return self.ctx
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _CONTEXT.reset(self._token)
-        return False
+    ctx = TraceContext(trace_id=trace_id or new_trace_id(), span_id=parent_id, sink=sink)
+    token = _CONTEXT.set(ctx)
+    try:
+        yield ctx
+    finally:
+        _CONTEXT.reset(token)
 
 
 class span:

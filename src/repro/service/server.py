@@ -44,7 +44,6 @@ from repro.faults.injector import decide as fault_decide
 from repro.generators.iscas import SUITE
 from repro.obs.trace import (
     TRACE_HEADER,
-    SpanSink,
     parse_trace_header,
     span,
     trace_scope,
@@ -218,23 +217,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._trace_id = None
         if service.trace:
             tid, parent = parse_trace_header(self.headers.get(TRACE_HEADER))
-            # The request's own spans collect in memory and reach
-            # trace.jsonl as one batch after the reply: one lock and one
-            # flush per request instead of one per span.
-            spans = SpanSink() if service.trace_sink is not None else None
-            try:
-                with trace_scope(
-                    sink=spans, trace_id=tid, parent_id=parent,
-                ) as ctx:
-                    self._trace_id = ctx.trace_id
-                    with span(
-                        "http.request", method=method, route=route,
-                    ) as sp:
-                        self._route(method)
-                        sp.set(code=self._last_status)
-            finally:
-                if spans is not None:
-                    service.trace_sink.emit_many(spans.drain())
+            with trace_scope(
+                sink=service.trace_sink, trace_id=tid, parent_id=parent,
+            ) as ctx:
+                self._trace_id = ctx.trace_id
+                with span("http.request", method=method, route=route) as sp:
+                    self._route(method)
+                    sp.set(code=self._last_status)
         else:
             self._route(method)
         service._m_http.inc(

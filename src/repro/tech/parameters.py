@@ -129,10 +129,6 @@ class Technology:
         """Return a copy with different size bounds."""
         return replace(self, min_size=min_size, max_size=max_size)
 
-    def with_load(self, c_load: float) -> "Technology":
-        """Return a copy with a different primary-output load."""
-        return replace(self, c_load=c_load)
-
 
 def default_technology() -> Technology:
     """The technology used by all experiments unless overridden."""

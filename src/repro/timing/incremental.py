@@ -303,15 +303,6 @@ class IncrementalTimer:
             critical_vertex=self.critical_vertex,
         )
 
-    @property
-    def mean_cone_fraction(self) -> float:
-        """Average per-update cone fraction since construction."""
-        if self.total_updates == 0:
-            return 0.0
-        return self.total_repropagated / (
-            2.0 * self.dag.n * self.total_updates
-        )
-
     # -- updates -----------------------------------------------------------
 
     def update_delays(

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import re
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -101,6 +102,28 @@ class TestSpans:
         assert [(r["trace"], r["name"]) for r in lines] == [
             ("t1", "a"), ("t2", "b"),
         ]
+
+    def test_file_sink_writes_in_the_background_in_emit_order(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = SpanSink(path)
+        try:
+            sink.emit({"n": 0})
+            sink.emit_many([{"n": 1}, None, {"n": 2}])
+            # Queued records reach the file without a close or a flush.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if path.is_file() and len(path.read_text().splitlines()) == 3:
+                    break
+                time.sleep(0.02)
+            lines = [json.loads(x) for x in path.read_text().splitlines()]
+            assert [r["n"] for r in lines] == [0, 1, 2]
+            assert sink.drain() == []
+        finally:
+            sink.close()
+        # After close, every emit writes straight through.
+        sink.emit({"n": 3})
+        assert json.loads(path.read_text().splitlines()[-1]) == {"n": 3}
+        sink.close()
 
     def test_carrier_snapshots_the_active_parent(self):
         with trace_scope(trace_id="tid0", parent_id="p0"):
