@@ -582,6 +582,11 @@ class SizingService:
             trace_id=record.trace_id,
             sink=self.trace_sink,
         )
+        if self.trace_sink is not None:
+            # An executed job's spans reach trace.jsonl before its
+            # result is visible, so a trace read after the reply finds
+            # them; only warm hits leave theirs to the sink's writer.
+            self.trace_sink.flush()
         observe_spans(self.metrics, (obs or {}).get("spans"))
         self.admission.observe_drain(outcome.wall_seconds)
         self._m_executed.inc()
@@ -734,6 +739,7 @@ class SizingService:
                 "worker": self.worker_id,
             },
         ))
+        self.trace_sink.flush()
 
     def _drain_loop(self) -> None:
         """One drain worker: lease → probe → execute → publish, forever."""
